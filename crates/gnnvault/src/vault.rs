@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tee::{
     codec, AllocationId, ClassLabel, CostModel, EnclaveSession, EnclaveSim, Meter,
-    OverBudgetPolicy, Phase, SealKey, Sealed, SessionId, UntrustedToEnclave,
+    OverBudgetPolicy, Phase, SealKey, Sealed, SessionId,
 };
 
 /// Process-wide deployment counter behind [`Vault::epoch`]: every
@@ -20,17 +20,26 @@ use tee::{
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// Per-inference report: the Fig. 6 measurables.
+///
+/// Time fields mix two clocks, and say which: measured wall-clock time
+/// of the Rust kernels, and time simulated by the enclave's
+/// [`tee::CostModel`] for what the simulator cannot measure (ECALLs,
+/// marshalling, the in-enclave slowdown, EPC paging).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InferenceReport {
-    /// Wall-clock + simulated time per phase.
+    /// Backbone forward in the untrusted world: wall-clock only. Zero
+    /// when the batch was answered from enclave-resident taps.
     pub backbone_ns: u64,
-    /// Transfer time (simulated SGX marshalling).
+    /// World crossings: `CostModel` time only — one transition per
+    /// ECALL plus per-byte marshalling of the shipped taps.
     pub transfer_ns: u64,
-    /// Rectifier time inside the enclave (wall + page-swap simulation).
+    /// Enclave side (closure, restricted operands, rectifier, argmax):
+    /// wall-clock plus the `CostModel` slowdown surcharge on it, plus
+    /// `CostModel` page-swap time for allocations past the EPC budget.
     pub rectifier_ns: u64,
-    /// Bytes moved across the boundary.
+    /// Tap bytes moved across the boundary by this call.
     pub transferred_bytes: usize,
-    /// ECALL count for this inference.
+    /// ECALL count for this call.
     pub transitions: u64,
     /// Peak enclave memory over the deployment lifetime so far.
     pub peak_enclave_bytes: usize,
@@ -101,20 +110,21 @@ impl QuantizedModel {
 /// real graph (COO + precomputed degrees) sealed inside a simulated SGX
 /// enclave.
 ///
-/// Besides full-graph [`Vault::infer`], the threat model's per-node
-/// query ("query the GNN model with any chosen node") is served by
-/// [`Vault::infer_node`], which extracts the node's k-hop ego graph
-/// *inside the enclave* — the private neighbourhood never leaves — and
-/// rectifies only that subgraph.
+/// Every query runs one split pipeline: backbone in the normal world,
+/// tap embeddings marshalled one-way into the enclave, rectifier inside
+/// over the queried nodes' L-hop closure in the real graph (found
+/// *inside the enclave* — the private neighbourhood never leaves), and
+/// *label-only* output ([`ClassLabel`]) — logits never leave.
+/// [`Vault::infer_batch`] is that pipeline for a batch of node queries
+/// through a reusable [`EnclaveSession`]; [`Vault::infer`] (every node)
+/// and [`Vault::infer_node`] (the threat model's "query the GNN model
+/// with any chosen node") are thin wrappers over it. The `serve` crate
+/// builds its admission queue, caching, and scheduling on top.
 ///
-/// [`Vault::infer`] runs the split pipeline: backbone in the normal
-/// world, tap embeddings marshalled one-way into the enclave, rectifier
-/// inside, and *label-only* output ([`ClassLabel`]) — logits never leave.
-///
-/// For serving traffic, [`Vault::infer_batch`] answers many node
-/// queries with a single enclave transition set per batch through a
-/// reusable [`EnclaveSession`]; the `serve` crate builds its admission
-/// queue, caching, and scheduling on top of that entry point.
+/// A serving corpus bound with [`Vault::bind_features`] makes the taps
+/// *epoch-resident*: the first batch over it ships the full tap set
+/// once and the enclave keeps it; later batches run no backbone, ship
+/// no taps, and cost one ECALL.
 ///
 /// # Examples
 ///
@@ -142,6 +152,22 @@ pub struct Vault {
     enclave: EnclaveSim,
     sealed_artifacts: Vec<(String, Sealed)>,
     seal_key: SealKey,
+    /// The serving corpus bound by [`Vault::bind_features`]. Public
+    /// data; holding the `Arc` keeps it immutable and its address
+    /// unique, which is what makes pointer identity a sound cache key.
+    corpus: Option<Arc<DenseMatrix>>,
+    /// Taps made resident for `corpus` by its first batch.
+    resident: Option<ResidentTaps>,
+}
+
+/// Tap embeddings kept inside the enclave for the bound corpus, in the
+/// backbone's slot layout: tap slots hold their decoded rows (only the
+/// closure's rows on a partition replica), other slots — which no
+/// wiring rule reads — are zero-row placeholders.
+#[derive(Debug)]
+struct ResidentTaps {
+    slots: Vec<DenseMatrix>,
+    alloc: AllocationId,
 }
 
 /// Ownership maps of a partition replica. `part`/`parts` are public
@@ -276,6 +302,8 @@ impl Vault {
             enclave,
             sealed_artifacts,
             seal_key,
+            corpus: None,
+            resident: None,
         })
     }
 
@@ -619,6 +647,30 @@ impl Vault {
         EnclaveSession::new(id)
     }
 
+    /// Binds the public serving corpus. O(1): nothing runs until the
+    /// first [`Vault::infer_batch`] whose `features` *is* this
+    /// allocation (pointer identity), which ships the full tap set once
+    /// and leaves it resident in the enclave for every later batch of
+    /// this deployment. Rebinding drops resident taps; so do
+    /// [`Vault::set_precision`] switches. Snapshots and replicas never
+    /// carry a binding, so an install, rollback or restore starts cold.
+    ///
+    /// Features that were never bound keep the per-call path: backbone
+    /// and full tap transfer on every call.
+    pub fn bind_features(&mut self, features: Arc<DenseMatrix>) {
+        self.evict_resident_taps();
+        self.corpus = Some(features);
+    }
+
+    /// Frees the resident taps, if any, from the enclave ledger.
+    fn evict_resident_taps(&mut self) {
+        if let Some(resident) = self.resident.take() {
+            // The id is live: it was charged by this ledger and is
+            // freed exactly once, here.
+            let _ = self.enclave.free(resident.alloc);
+        }
+    }
+
     /// Switches the serving precision. Idempotent.
     ///
     /// Moving to [`Precision::Int8`] quantizes every projection weight
@@ -631,6 +683,10 @@ impl Vault {
     /// quantization is a deterministic function of the f32 weights, and
     /// `quantize(dequantize(q)) == q` makes re-quantization a fixed
     /// point.
+    ///
+    /// A switch drops the resident taps of a bound corpus: the int8
+    /// backbone computes different taps, so the next batch over the
+    /// corpus ships them afresh.
     ///
     /// # Errors
     ///
@@ -654,6 +710,7 @@ impl Vault {
                 self.enclave.free(self.rectifier_params_alloc)?;
                 self.rectifier_params_alloc = id;
                 self.quantized = Some(model);
+                self.evict_resident_taps();
             }
             Precision::F32 => {
                 if self.quantized.is_none() {
@@ -665,6 +722,7 @@ impl Vault {
                 self.enclave.free(self.rectifier_params_alloc)?;
                 self.rectifier_params_alloc = id;
                 self.quantized = None;
+                self.evict_resident_taps();
             }
         }
         Ok(())
@@ -728,8 +786,9 @@ impl Vault {
         self.enclave.meter()
     }
 
-    /// Runs one full-graph inference through the split pipeline and
-    /// returns per-node class labels plus the timing report.
+    /// Runs inference for every node and returns per-node class labels
+    /// plus the timing report — [`Vault::infer_batch`] over all nodes
+    /// through a one-shot session, so the closure is the whole graph.
     ///
     /// Step by step (Fig. 6's decomposition):
     /// 1. backbone forward in the untrusted world (wall-clock metered),
@@ -741,8 +800,9 @@ impl Vault {
     ///
     /// # Errors
     ///
-    /// Propagates backbone/rectifier failures and enclave memory
-    /// rejections.
+    /// Returns [`VaultError::InvalidConfig`] on a partition replica
+    /// (it answers only its owned nodes); otherwise the same failures
+    /// as [`Vault::infer_batch`].
     pub fn infer(
         &mut self,
         features: &DenseMatrix,
@@ -756,77 +816,62 @@ impl Vault {
                 ),
             });
         }
-        let meter = self.enclave.meter();
-        meter.reset();
-        let transitions_before = self.enclave.transitions();
+        let nodes: Vec<usize> = (0..self.num_nodes()).collect();
+        let mut session = self.open_session();
+        self.infer_batch(&mut session, features, &nodes)
+    }
 
-        // 1. Public backbone in the untrusted world.
-        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
-
-        // 2. One-way transfer of exactly the tapped embeddings.
-        let taps = self.rectifier.tap_indices();
-        let mut channel = UntrustedToEnclave::new();
-        for &t in &taps {
-            let payload = codec::encode_dense(&embeddings[t]);
-            channel.send(&mut self.enclave, payload)?;
-        }
-        let transferred_bytes = channel.total_bytes();
-
-        // Enclave side: decode payloads back into tap embeddings.
-        let payloads = channel.drain();
-        let enclave_embeddings = Self::decode_tap_embeddings(&taps, &payloads, &embeddings)?;
-
-        // 3. Rectifier inside the enclave, with transient activation
-        //    buffers accounted against the EPC. The buffers are freed
-        //    whether or not the forward succeeds: a long-lived serving
-        //    enclave must not leak EPC on a failed batch.
-        let transient = self.alloc_transient_activations(features.rows())?;
-        let forward_result = {
-            let rectifier = &self.rectifier;
-            let real_adj = &self.real_adj;
-            let quantized = self.quantized.as_ref();
-            self.enclave.run(|| match quantized {
-                Some(q) => rectifier.forward_quantized(&q.rectifier, real_adj, &enclave_embeddings),
-                None => rectifier.forward(real_adj, &enclave_embeddings),
-            })
-        };
-        for id in transient {
-            self.enclave.free(id)?;
-        }
-        let forward = forward_result?;
-
-        // 4. Label-only egress: logits stay inside.
-        let labels: Vec<ClassLabel> = linalg::ops::argmax_rows(forward.logits())
-            .into_iter()
-            .map(ClassLabel)
-            .collect();
-
-        let breakdown = meter.breakdown();
-        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
-        let report = InferenceReport {
-            backbone_ns: get(Phase::Backbone).total_ns(),
-            transfer_ns: get(Phase::Transfer).total_ns(),
-            rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
-            transferred_bytes,
-            transitions: self.enclave.transitions() - transitions_before,
-            peak_enclave_bytes: self.enclave.peak_usage(),
-        };
-        Ok((labels, report))
+    /// Answers a single-node query (the threat model's query interface)
+    /// — [`Vault::infer_batch`] on one node through a one-shot session.
+    /// Enclave compute and transient memory shrink to the node's L-hop
+    /// neighbourhood.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Vault::infer_batch`].
+    pub fn infer_node(
+        &mut self,
+        features: &DenseMatrix,
+        node: usize,
+    ) -> Result<(ClassLabel, InferenceReport), VaultError> {
+        let mut session = self.open_session();
+        let (labels, report) = self.infer_batch(&mut session, features, &[node])?;
+        Ok((labels[0], report))
     }
 
     /// Runs one batched inference for `nodes` through an open enclave
-    /// session, amortizing one enclave transition set per *batch*
-    /// instead of one per queried node.
+    /// session: one enclave transition set per *batch* instead of one
+    /// per queried node, and enclave work bounded by the batch's
+    /// receptive field instead of the graph.
     ///
-    /// The split pipeline runs exactly once for the whole batch: one
-    /// backbone forward in the untrusted world (on the shared `linalg`
-    /// pool), one tap-set transfer through the session's reusable
-    /// channel, one rectifier pass inside the enclave with its transient
-    /// activations allocated (and accounted) once, and label-only egress
-    /// for exactly the queried nodes. Because the enclave computation is
-    /// the same full-graph rectification as [`Vault::infer`], the
-    /// returned labels are bit-identical to running `infer` and reading
-    /// the queried rows — batching changes cost, never answers.
+    /// 1. **Taps in.** Over a corpus bound with [`Vault::bind_features`]
+    ///    whose taps are already resident, nothing runs outside and one
+    ///    payload-free ECALL enters the enclave. Otherwise the backbone
+    ///    runs over the whole corpus (on the shared `linalg` pool) and
+    ///    the *full* tap set crosses through the session's channel —
+    ///    the bytes never depend on the queried nodes. Over the bound
+    ///    corpus the enclave then keeps the decoded taps (a partition
+    ///    replica only its closure rows), charged to the EPC ledger.
+    /// 2. **Closure.** Inside the enclave, a multi-source BFS of
+    ///    L = rectifier-depth hops over the resident normalized
+    ///    adjacency finds every node the answers depend on, in
+    ///    ascending id order. The adjacency's rows are sliced to it
+    ///    ([`linalg::CsrMatrix::principal_submatrix`]) — their values
+    ///    already carry full-graph degrees — and the tap rows selected.
+    /// 3. **Rectifier** over the closure, with transient activations
+    ///    EPC-accounted at closure size and freed even when the forward
+    ///    fails, so a failed batch cannot degrade a serving enclave.
+    /// 4. **Label-only egress** for exactly the queried nodes.
+    ///
+    /// Labels are bit-identical to reading the queried rows of
+    /// [`Vault::infer`]: a node at distance `d < L` from the batch keeps
+    /// its whole adjacency row, so its layer-`L - d` activation is
+    /// exact, and ascending local ids keep every row's accumulation
+    /// order. Batching and residency change cost, never answers.
+    ///
+    /// Enclave wall time and transient EPC follow the private closure
+    /// size — a timing/paging signal the ingress byte rule does not
+    /// cover (see ARCHITECTURE.md).
     ///
     /// The report's [`InferenceReport::transitions`] is the per-batch
     /// delta, so `transitions / nodes.len()` is the per-node ECALL cost
@@ -834,9 +879,13 @@ impl Vault {
     ///
     /// # Errors
     ///
-    /// Returns [`VaultError::InvalidConfig`] on an empty batch or an
-    /// out-of-range node id; otherwise propagates the same failures as
-    /// [`Vault::infer`].
+    /// Returns [`VaultError::InvalidConfig`] on an empty batch, an
+    /// out-of-range node id, or a corpus whose row count is not the
+    /// deployment's node count; [`VaultError::NotOwned`] for a node a
+    /// partition replica does not own; [`VaultError::Tee`] when the
+    /// resident taps or the closure's activations do not fit the EPC
+    /// under [`OverBudgetPolicy::Fail`] (the failed batch's transients
+    /// are rolled back); and backbone/rectifier failures.
     ///
     /// # Examples
     ///
@@ -873,6 +922,15 @@ impl Vault {
     /// assert_eq!(batch_labels.len(), 3);
     /// assert_eq!(batch_labels[0], batch_labels[2], "same node, same label");
     /// assert!(report.transitions >= 1);
+    ///
+    /// // A bound corpus ships its taps once; later batches ship none.
+    /// let corpus = std::sync::Arc::new(x);
+    /// vault.bind_features(std::sync::Arc::clone(&corpus));
+    /// let (_, first) = vault.infer_batch(&mut session, &corpus, &[1])?;
+    /// let (again, later) = vault.infer_batch(&mut session, &corpus, &[0, 3, 0])?;
+    /// assert_eq!(first.transferred_bytes, report.transferred_bytes);
+    /// assert_eq!((later.transferred_bytes, later.transitions), (0, 1));
+    /// assert_eq!(again, batch_labels);
     /// # Ok(())
     /// # }
     /// ```
@@ -882,101 +940,103 @@ impl Vault {
         features: &DenseMatrix,
         nodes: &[usize],
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
-        if nodes.is_empty() {
-            return Err(VaultError::InvalidConfig {
-                reason: "empty batch: at least one query node is required".into(),
-            });
-        }
-        if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes()) {
-            return Err(VaultError::InvalidConfig {
-                reason: format!(
-                    "query node {bad} out of range for {} nodes",
-                    self.num_nodes()
-                ),
-            });
-        }
-        // A partition replica answers only its owned nodes; anything
-        // else is a routing error the caller must surface, not a silent
-        // wrong answer.
-        if let Some(p) = &self.partition {
-            if let Some(&node) = nodes.iter().find(|&&n| !p.owns(n)) {
-                return Err(VaultError::NotOwned {
-                    node,
-                    part: p.part,
-                    parts: p.parts,
-                });
-            }
-        }
+        let sources = self.query_rows(features, nodes)?;
         let meter = self.enclave.meter();
         meter.reset();
         let transitions_before = self.enclave.transitions();
-
-        // 1. One backbone forward for the whole batch.
-        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
-
-        // 2. One tap-set transfer per batch, through the session's
-        //    long-lived channel.
-        let taps = self.rectifier.tap_indices();
         session.begin_batch();
-        for &t in &taps {
-            session.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
-        }
-        let transferred_bytes = session.batch_bytes();
-        let payloads = session.drain();
-        let enclave_embeddings = Self::decode_tap_embeddings(&taps, &payloads, &embeddings)?;
 
-        // Partition replica: select the closure's rows *inside* the
-        // enclave. The untrusted world ships the same full tap set as
-        // always — halo membership is derived from the private edges
-        // and never crosses the boundary.
-        let enclave_embeddings = match &self.partition {
-            Some(p) => {
-                let mut local = Vec::with_capacity(enclave_embeddings.len());
-                for e in &enclave_embeddings {
-                    local.push(e.select_rows(&p.local_ids)?);
-                }
-                local
+        // 1. Taps in: resident, or shipped whole by this batch.
+        let bound = self
+            .corpus
+            .as_deref()
+            .is_some_and(|corpus| std::ptr::eq(corpus, features));
+        let mut epoch_scratch = None;
+        let shipped = if bound && self.resident.is_some() {
+            session.call(&mut self.enclave)?;
+            None
+        } else {
+            let (slots, backbone_outputs) = self.ship_taps(session, features)?;
+            if bound {
+                let bytes = slots.iter().map(DenseMatrix::nbytes).sum();
+                let alloc = self.enclave.alloc("resident taps", bytes)?;
+                self.resident = Some(ResidentTaps { slots, alloc });
+                // A per-call batch frees its backbone outputs here, and
+                // the next call reuses that memory. The first batch of
+                // an epoch is a one-off: its outputs are held until the
+                // batch is answered, so they are freed together with the
+                // closure activations as one block — large enough for
+                // the allocator to hand back to the OS instead of
+                // keeping it resident on the serving thread all epoch.
+                epoch_scratch = Some(backbone_outputs);
+                None
+            } else {
+                Some(slots)
             }
-            None => enclave_embeddings,
+        };
+        let transferred_bytes = session.batch_bytes();
+        let slots = match (&shipped, &self.resident) {
+            (Some(slots), _) | (None, Some(ResidentTaps { slots, .. })) => slots,
+            (None, None) => unreachable!("taps were shipped or are resident"),
         };
 
-        // 3. One rectifier pass per batch; transient activations are
-        //    allocated (and EPC-accounted) once, not once per query, and
-        //    freed even when the forward fails so a failed batch cannot
-        //    degrade the serving enclave. On a partition replica the
-        //    buffers shrink to the closure's row count.
-        let forward_rows = match &self.partition {
-            Some(p) => p.local_ids.len(),
-            None => features.rows(),
-        };
-        let transient = self.alloc_transient_activations(forward_rows)?;
-        let forward_result = {
+        // 2. The batch's L-hop closure and its restricted operands.
+        let hops = self.rectifier.num_layers();
+        let real_adj = &self.real_adj;
+        let (closure, sliced, inputs) = self.enclave.run(|| -> Result<_, VaultError> {
+            let closure = graph::closure::hop_closure(real_adj, &sources, hops);
+            let whole = closure.len() == real_adj.rows();
+            let sliced = if whole {
+                None
+            } else {
+                Some(real_adj.principal_submatrix(&closure)?)
+            };
+            let inputs = slots
+                .iter()
+                .map(|slot| {
+                    if whole || slot.rows() == 0 {
+                        Ok(slot.clone())
+                    } else {
+                        slot.select_rows(&closure)
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((closure, sliced, inputs))
+        })?;
+        drop(shipped);
+        let adj = sliced.as_ref().unwrap_or(&self.real_adj);
+
+        // 3-4. Rectifier over the closure; argmax for the query rows.
+        let transient =
+            Self::alloc_transient_activations(&mut self.enclave, &self.rectifier, closure.len())?;
+        let result = {
             let rectifier = &self.rectifier;
-            let real_adj = &self.real_adj;
             let quantized = self.quantized.as_ref();
-            self.enclave.run(|| match quantized {
-                Some(q) => rectifier.forward_quantized(&q.rectifier, real_adj, &enclave_embeddings),
-                None => rectifier.forward(real_adj, &enclave_embeddings),
+            self.enclave.run(|| -> Result<Vec<ClassLabel>, VaultError> {
+                let forward = match quantized {
+                    Some(q) => rectifier.forward_quantized(&q.rectifier, adj, &inputs)?,
+                    None => rectifier.forward(adj, &inputs)?,
+                };
+                let rows: Vec<usize> = sources
+                    .iter()
+                    .map(|s| {
+                        closure
+                            .binary_search(s)
+                            .expect("a source is in its closure")
+                    })
+                    .collect();
+                let logits = forward.logits().select_rows(&rows)?;
+                Ok(linalg::ops::argmax_rows(&logits)
+                    .into_iter()
+                    .map(ClassLabel)
+                    .collect())
             })
         };
         for id in transient {
             self.enclave.free(id)?;
         }
-        let forward = forward_result?;
-
-        // 4. Label-only egress for exactly the queried nodes (global
-        //    ids translate to closure rows on a partition replica).
-        let all_labels = linalg::ops::argmax_rows(forward.logits());
-        let labels = match &self.partition {
-            Some(p) => nodes
-                .iter()
-                .map(|&n| {
-                    let local = p.local_id(n).expect("ownership was validated above");
-                    ClassLabel(all_labels[local])
-                })
-                .collect(),
-            None => nodes.iter().map(|&n| ClassLabel(all_labels[n])).collect(),
-        };
+        let labels = result?;
+        drop(epoch_scratch);
 
         let breakdown = meter.breakdown();
         let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
@@ -991,28 +1051,85 @@ impl Vault {
         Ok((labels, report))
     }
 
-    /// Decodes world-crossing tap payloads back into the full embedding
-    /// list the rectifier wiring expects. Non-tapped slots are never
-    /// read, so zero-row placeholders stand in; slots a shallow-backbone
-    /// fallback rule could touch are padded to full height.
-    fn decode_tap_embeddings<P: AsRef<[u8]>>(
-        taps: &[usize],
-        payloads: &[P],
-        embeddings: &[DenseMatrix],
-    ) -> Result<Vec<DenseMatrix>, VaultError> {
-        let mut enclave_embeddings: Vec<DenseMatrix> = embeddings
+    /// Validates a query and translates its nodes into rows of the
+    /// resident adjacency (closure-local ids on a partition replica).
+    fn query_rows(
+        &self,
+        features: &DenseMatrix,
+        nodes: &[usize],
+    ) -> Result<Vec<usize>, VaultError> {
+        if nodes.is_empty() {
+            return Err(VaultError::InvalidConfig {
+                reason: "empty batch: at least one query node is required".into(),
+            });
+        }
+        if features.rows() != self.num_nodes() {
+            return Err(VaultError::InvalidConfig {
+                reason: format!(
+                    "corpus has {} feature rows for {} deployed graph nodes",
+                    features.rows(),
+                    self.num_nodes()
+                ),
+            });
+        }
+        if let Some(&bad) = nodes.iter().find(|&&n| n >= self.num_nodes()) {
+            return Err(VaultError::InvalidConfig {
+                reason: format!(
+                    "query node {bad} out of range for {} nodes",
+                    self.num_nodes()
+                ),
+            });
+        }
+        // A partition replica answers only its owned nodes; anything
+        // else is a routing error the caller must surface, not a silent
+        // wrong answer.
+        match &self.partition {
+            None => Ok(nodes.to_vec()),
+            Some(p) => nodes
+                .iter()
+                .map(|&node| {
+                    p.owns(node)
+                        .then(|| p.local_id(node).expect("owned nodes are in the closure"))
+                        .ok_or(VaultError::NotOwned {
+                            node,
+                            part: p.part,
+                            parts: p.parts,
+                        })
+                })
+                .collect(),
+        }
+    }
+
+    /// Runs the backbone over `features`, ships the full tap set through
+    /// `session`, and decodes it on the enclave side into the backbone's
+    /// slot layout (non-tap slots are zero-row placeholders). A
+    /// partition replica keeps only its closure's rows — halo
+    /// membership is derived from the private edges, so the selection
+    /// happens inside. Returns the decoded slots and the backbone
+    /// outputs, whose release the caller times.
+    fn ship_taps(
+        &mut self,
+        session: &mut EnclaveSession,
+        features: &DenseMatrix,
+    ) -> Result<(Vec<DenseMatrix>, Vec<DenseMatrix>), VaultError> {
+        let meter = self.enclave.meter();
+        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
+        let taps = self.rectifier.tap_indices();
+        for &t in &taps {
+            session.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
+        }
+        let mut slots: Vec<DenseMatrix> = embeddings
             .iter()
             .map(|e| DenseMatrix::zeros(0, e.cols()))
             .collect();
-        for (&t, payload) in taps.iter().zip(payloads) {
-            enclave_embeddings[t] = codec::decode_dense(payload.as_ref())?;
+        for (&t, payload) in taps.iter().zip(session.drain()) {
+            let decoded = codec::decode_dense(&payload)?;
+            slots[t] = match &self.partition {
+                Some(p) => decoded.select_rows(&p.local_ids)?,
+                None => decoded,
+            };
         }
-        for (slot, original) in enclave_embeddings.iter_mut().zip(embeddings) {
-            if slot.rows() == 0 && original.rows() != 0 {
-                *slot = DenseMatrix::zeros(original.rows(), original.cols());
-            }
-        }
-        Ok(enclave_embeddings)
+        Ok((slots, embeddings))
     }
 
     /// Accounts the rectifier's transient per-layer activation buffers
@@ -1021,15 +1138,18 @@ impl Vault {
     /// rejection the already-made allocations are rolled back, so a
     /// failed inference leaves the enclave ledger exactly as it found
     /// it.
-    fn alloc_transient_activations(&mut self, n: usize) -> Result<Vec<AllocationId>, VaultError> {
+    fn alloc_transient_activations(
+        enclave: &mut EnclaveSim,
+        rectifier: &Rectifier,
+        n: usize,
+    ) -> Result<Vec<AllocationId>, VaultError> {
         let mut transient = Vec::new();
-        for (in_dim, out_dim) in self
-            .rectifier
+        for (in_dim, out_dim) in rectifier
             .input_dims()
             .into_iter()
-            .zip(self.rectifier.channel_dims())
+            .zip(rectifier.channel_dims())
         {
-            match self.enclave.alloc(
+            match enclave.alloc(
                 "layer activation",
                 n * (in_dim + out_dim) * std::mem::size_of::<f32>(),
             ) {
@@ -1037,132 +1157,13 @@ impl Vault {
                 Err(e) => {
                     // Fresh ids: free cannot fail here.
                     for id in transient {
-                        let _ = self.enclave.free(id);
+                        let _ = enclave.free(id);
                     }
                     return Err(e.into());
                 }
             }
         }
         Ok(transient)
-    }
-
-    /// Answers a single-node query (the threat model's query interface).
-    ///
-    /// The untrusted world still computes and ships the tap embeddings
-    /// (it cannot know which rows matter — the neighbourhood is
-    /// private); *inside* the enclave, the node's k-hop ego graph is
-    /// extracted (k = rectifier depth), normalized with the original
-    /// degrees so the centre's embedding is exact, and only that
-    /// subgraph is rectified. Enclave compute and transient memory
-    /// shrink to the neighbourhood size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaultError::InvalidConfig`] when `node` is out of
-    /// range; otherwise propagates the same failures as
-    /// [`Vault::infer`].
-    pub fn infer_node(
-        &mut self,
-        features: &DenseMatrix,
-        node: usize,
-    ) -> Result<(ClassLabel, InferenceReport), VaultError> {
-        if node >= self.num_nodes() {
-            return Err(VaultError::InvalidConfig {
-                reason: format!(
-                    "query node {node} out of range for {} nodes",
-                    self.num_nodes()
-                ),
-            });
-        }
-        if let Some(p) = &self.partition {
-            if !p.owns(node) {
-                return Err(VaultError::NotOwned {
-                    node,
-                    part: p.part,
-                    parts: p.parts,
-                });
-            }
-        }
-        let meter = self.enclave.meter();
-        meter.reset();
-        let transitions_before = self.enclave.transitions();
-
-        let embeddings = meter.time(Phase::Backbone, || self.backbone_embeddings(features))?;
-        let taps = self.rectifier.tap_indices();
-        let mut channel = UntrustedToEnclave::new();
-        for &t in &taps {
-            channel.send(&mut self.enclave, codec::encode_dense(&embeddings[t]))?;
-        }
-        let transferred_bytes = channel.total_bytes();
-        let payloads = channel.drain();
-
-        // --- enclave side: ego extraction + subgraph rectification ---
-        let hops = self.rectifier.num_layers();
-        let (label, peak) = {
-            let rectifier = &self.rectifier;
-            let real_graph = &self.real_graph;
-            let partition = self.partition.as_ref();
-            let quantized = self.quantized.as_ref();
-            let enclave = &self.enclave;
-            let out = enclave.run(|| -> Result<ClassLabel, VaultError> {
-                // On a partition replica the ego expansion runs on the
-                // local closure. Distances up to `hops` agree with the
-                // full graph because the closure spans the owned set's
-                // whole receptive field.
-                let center = match partition {
-                    Some(p) => p.local_id(node).expect("ownership was validated above"),
-                    None => node,
-                };
-                let ego = graph::subgraph::ego_graph(real_graph, center, hops)?;
-                let degrees: Vec<usize> = match partition {
-                    Some(p) => ego
-                        .original_ids
-                        .iter()
-                        .map(|&l| p.original_degrees[l])
-                        .collect(),
-                    None => ego.original_degrees.clone(),
-                };
-                let ego_adj =
-                    graph::normalization::gcn_normalize_with_degrees(&ego.graph, &degrees);
-                // Rows to pull from the full decoded tap payloads are
-                // *global* ids; a partition's ego ids are local.
-                let global_rows: Vec<usize> = match partition {
-                    Some(p) => ego.original_ids.iter().map(|&l| p.local_ids[l]).collect(),
-                    None => ego.original_ids.clone(),
-                };
-                let mut ego_embeddings: Vec<DenseMatrix> = embeddings
-                    .iter()
-                    .map(|e| DenseMatrix::zeros(ego.graph.num_nodes(), e.cols()))
-                    .collect();
-                for (&t, payload) in taps.iter().zip(&payloads) {
-                    let full = codec::decode_dense(payload)?;
-                    ego_embeddings[t] = full.select_rows(&global_rows)?;
-                }
-                let forward = match quantized {
-                    Some(q) => {
-                        rectifier.forward_quantized(&q.rectifier, &ego_adj, &ego_embeddings)?
-                    }
-                    None => rectifier.forward(&ego_adj, &ego_embeddings)?,
-                };
-                let preds = linalg::ops::argmax_rows(forward.logits());
-                Ok(ClassLabel(preds[ego.center]))
-            })?;
-            (out, self.enclave.peak_usage())
-        };
-
-        let breakdown = meter.breakdown();
-        let get = |phase: Phase| breakdown.get(&phase).copied().unwrap_or_default();
-        Ok((
-            label,
-            InferenceReport {
-                backbone_ns: get(Phase::Backbone).total_ns(),
-                transfer_ns: get(Phase::Transfer).total_ns(),
-                rectifier_ns: get(Phase::Enclave).total_ns() + get(Phase::PageSwap).total_ns(),
-                transferred_bytes,
-                transitions: self.enclave.transitions() - transitions_before,
-                peak_enclave_bytes: peak,
-            },
-        ))
     }
 }
 
@@ -1447,6 +1448,139 @@ mod tests {
         }
         assert!(tight.infer(&x).is_err());
         assert_eq!(tight.enclave_in_use_bytes(), before);
+    }
+
+    /// Activation bytes a `rows`-row rectifier forward charges.
+    fn transient_bytes(vault: &Vault, rows: usize) -> usize {
+        vault
+            .rectifier
+            .input_dims()
+            .into_iter()
+            .zip(vault.rectifier.channel_dims())
+            .map(|(i, o)| rows * (i + o) * std::mem::size_of::<f32>())
+            .sum()
+    }
+
+    #[test]
+    fn an_over_budget_closure_fails_typed_and_leaves_the_ledger_unchanged() {
+        // Budget the bound vault for resident taps plus one triangle's
+        // closure (3 rows), not both triangles' (6 rows).
+        let (mut probe, x, _) = toy_vault(RectifierKind::Series);
+        let corpus = Arc::new(x);
+        probe.bind_features(Arc::clone(&corpus));
+        let mut session = probe.open_session();
+        probe.infer_batch(&mut session, &corpus, &[0]).unwrap();
+        let budget = probe.enclave_in_use_bytes() + transient_bytes(&probe, 3);
+        let (full, _) = probe.infer(&corpus).unwrap();
+        drop(probe);
+
+        let (mut tight, _, _) = toy_vault_with_budget(RectifierKind::Series, budget);
+        tight.bind_features(Arc::clone(&corpus));
+        let mut session = tight.open_session();
+        let (labels, _) = tight.infer_batch(&mut session, &corpus, &[1]).unwrap();
+        assert_eq!(labels, vec![full[1]]);
+        let before = tight.enclave_in_use_bytes();
+        for _ in 0..2 {
+            assert!(matches!(
+                tight.infer_batch(&mut session, &corpus, &[0, 3]),
+                Err(VaultError::Tee(tee::TeeError::EpcExhausted { .. }))
+            ));
+            assert_eq!(tight.enclave_in_use_bytes(), before, "no fallback, no leak");
+        }
+        let (labels, report) = tight.infer_batch(&mut session, &corpus, &[5, 4]).unwrap();
+        assert_eq!(labels, vec![full[5], full[4]]);
+        assert_eq!(report.transferred_bytes, 0, "the taps stayed resident");
+    }
+
+    #[test]
+    fn a_bound_corpus_ships_the_full_tap_set_once_per_binding() {
+        for kind in RectifierKind::ALL {
+            let (mut vault, x, _) = toy_vault(kind);
+            let taps = vault.rectifier.tap_indices().len() as u64;
+            let (full, unbound) = vault.infer(&x).unwrap();
+            let mut session = vault.open_session();
+            // Unbound features pay the per-call path, bytes constant.
+            for nodes in [&[0][..], &[1, 4], &[5, 5, 2]] {
+                let (_, r) = vault.infer_batch(&mut session, &x, nodes).unwrap();
+                assert_eq!(r.transferred_bytes, unbound.transferred_bytes, "{kind:?}");
+                assert_eq!(r.transitions, taps, "{kind:?}");
+            }
+            let resident = vault.enclave_in_use_bytes();
+            // Every binding starts cold. Its first batch ships exactly
+            // the full tap set, whatever the nodes; later batches run
+            // no backbone, ship nothing, and charge one ECALL.
+            for first in [&[0][..], &[3, 4, 5], &[2, 2]] {
+                let corpus = Arc::new(x.clone());
+                vault.bind_features(Arc::clone(&corpus));
+                assert_eq!(vault.enclave_in_use_bytes(), resident, "{kind:?}");
+                let (labels, r) = vault.infer_batch(&mut session, &corpus, first).unwrap();
+                assert_eq!(r.transferred_bytes, unbound.transferred_bytes, "{kind:?}");
+                assert_eq!(r.transitions, taps, "{kind:?}");
+                assert!(r.backbone_ns > 0, "{kind:?}");
+                assert!(vault.enclave_in_use_bytes() > resident, "taps are charged");
+                let want: Vec<ClassLabel> = first.iter().map(|&n| full[n]).collect();
+                assert_eq!(labels, want, "{kind:?}");
+                for nodes in [&[0][..], &[1, 4], &[5, 5, 2]] {
+                    let (labels, r) = vault.infer_batch(&mut session, &corpus, nodes).unwrap();
+                    assert_eq!(
+                        (r.transferred_bytes, r.transitions, r.backbone_ns),
+                        (0, 1, 0),
+                        "{kind:?}"
+                    );
+                    let want: Vec<ClassLabel> = nodes.iter().map(|&n| full[n]).collect();
+                    assert_eq!(labels, want, "{kind:?}");
+                }
+                let (all, r) = vault.infer(&corpus).unwrap();
+                assert_eq!((all, r.transferred_bytes), (full.clone(), 0), "{kind:?}");
+                // An equal copy is not the bound corpus.
+                let (_, r) = vault.infer_batch(&mut session, &x, &[0]).unwrap();
+                assert_eq!(r.transferred_bytes, unbound.transferred_bytes, "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_precision_switch_drops_resident_taps() {
+        for kind in RectifierKind::ALL {
+            let (mut vault, x, _) = toy_vault(kind);
+            let (f32_labels, _) = vault.infer(&x).unwrap();
+            let (mut fresh, _, _) = toy_vault(kind);
+            fresh.set_precision(Precision::Int8).unwrap();
+            let (int8_labels, _) = fresh.infer(&x).unwrap();
+
+            let corpus = Arc::new(x);
+            vault.bind_features(Arc::clone(&corpus));
+            let mut session = vault.open_session();
+            let nodes: Vec<usize> = (0..corpus.rows()).collect();
+            vault.infer_batch(&mut session, &corpus, &nodes).unwrap();
+            vault.infer_batch(&mut session, &corpus, &[1]).unwrap();
+            for (precision, want) in [
+                (Precision::Int8, &int8_labels),
+                (Precision::F32, &f32_labels),
+            ] {
+                vault.set_precision(precision).unwrap();
+                let (labels, r) = vault.infer_batch(&mut session, &corpus, &nodes).unwrap();
+                assert!(
+                    r.transferred_bytes > 0 && r.backbone_ns > 0,
+                    "{kind:?}: {precision:?} taps must be shipped afresh"
+                );
+                assert_eq!(&labels, want, "{kind:?} {precision:?}");
+                let (labels, r) = vault.infer_batch(&mut session, &corpus, &nodes).unwrap();
+                assert_eq!(r.transferred_bytes, 0, "{kind:?}");
+                assert_eq!(&labels, want, "{kind:?} {precision:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corpus_of_the_wrong_height_is_rejected() {
+        let (mut vault, x, _) = toy_vault(RectifierKind::Series);
+        let short = x.select_rows(&[0, 1, 2]).unwrap();
+        let mut session = vault.open_session();
+        assert!(matches!(
+            vault.infer_batch(&mut session, &short, &[0]),
+            Err(VaultError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! - [`substitute`]: the three substitute-graph constructions of §IV-C —
 //!   KNN over feature similarity, cosine-similarity thresholding
 //!   (Eq. 2), and random graphs with a target edge budget,
+//! - [`closure`]: the multi-source L-hop closure behind partition halos
+//!   and the vault's per-batch receptive field,
 //! - [`partition`]: deterministic edge-cut partitioning with halos, the
 //!   substrate for sharded deployments that split (rather than
 //!   replicate) the private graph,
@@ -33,12 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod closure;
 mod core;
 mod error;
 pub mod normalization;
 pub mod partition;
 pub mod stats;
-pub mod subgraph;
 pub mod substitute;
 
 pub use crate::core::Graph;

@@ -12,12 +12,12 @@
 //! Combined with full-graph degrees
 //! ([`crate::normalization::gcn_normalize_with_degrees`]), a partition
 //! with an `L`-hop halo computes each owned node's `L`-layer GCN
-//! propagation bit-identically to the full graph — the same closure
-//! argument as [`crate::subgraph::ego_graph`], applied to a node *set*
-//! instead of a single center (verified by this module's tests).
+//! propagation bit-identically to the full graph — the halo is the
+//! owned set's [`crate::closure::hop_closure`] (verified by this
+//! module's tests).
 
 use crate::{Graph, GraphError};
-use std::collections::{BTreeSet, VecDeque};
+use linalg::CsrMatrix;
 
 /// How nodes are assigned to partitions.
 ///
@@ -257,12 +257,7 @@ pub fn partition_one(
             ),
         });
     }
-    let mut adjacency = vec![Vec::new(); graph.num_nodes()];
-    for &(u, v) in graph.edges() {
-        adjacency[u].push(v);
-        adjacency[v].push(u);
-    }
-    extract(graph, &adjacency, spec, part, halo_hops)
+    extract(&graph.to_adjacency_csr(), spec, part, halo_hops)
 }
 
 /// Partitions `graph` into `spec.num_parts()` partitions, each with a
@@ -302,54 +297,43 @@ pub fn partition(
             ),
         });
     }
-    let mut adjacency = vec![Vec::new(); graph.num_nodes()];
-    for &(u, v) in graph.edges() {
-        adjacency[u].push(v);
-        adjacency[v].push(u);
-    }
+    let adjacency = graph.to_adjacency_csr();
     (0..spec.num_parts())
-        .map(|part| extract(graph, &adjacency, spec, part, halo_hops))
+        .map(|part| extract(&adjacency, spec, part, halo_hops))
         .collect()
 }
 
-/// Multi-source BFS from the owned set out to `halo_hops`, then the
-/// induced subgraph — `ego_graph` generalized to a node set.
+/// The owned set's `halo_hops` closure over the binary `adjacency`
+/// (built once by the caller, shared by every partition), then the
+/// induced subgraph read off its principal submatrix.
 fn extract(
-    graph: &Graph,
-    adjacency: &[Vec<usize>],
+    adjacency: &CsrMatrix,
     spec: &PartitionSpec,
     part: usize,
     halo_hops: usize,
 ) -> Result<GraphPartition, GraphError> {
-    let owned: Vec<usize> = (0..graph.num_nodes())
+    let owned: Vec<usize> = (0..spec.num_nodes())
         .filter(|&n| spec.owner_of(n) == part)
         .collect();
-    let mut selected: BTreeSet<usize> = owned.iter().copied().collect();
-    let mut queue: VecDeque<(usize, usize)> = owned.iter().map(|&n| (n, 0usize)).collect();
-    while let Some((u, depth)) = queue.pop_front() {
-        if depth == halo_hops {
-            continue;
-        }
-        for &v in &adjacency[u] {
-            if selected.insert(v) {
-                queue.push_back((v, depth + 1));
-            }
-        }
-    }
-    let local_ids: Vec<usize> = selected.iter().copied().collect();
+    let local_ids = crate::closure::hop_closure(adjacency, &owned, halo_hops);
     let halo: Vec<usize> = local_ids
         .iter()
         .copied()
         .filter(|n| owned.binary_search(n).is_err())
         .collect();
-    let mut edges = Vec::new();
-    for &(u, v) in graph.edges() {
-        if let (Ok(lu), Ok(lv)) = (local_ids.binary_search(&u), local_ids.binary_search(&v)) {
-            edges.push((lu, lv));
-        }
-    }
+    let local = adjacency
+        .principal_submatrix(&local_ids)
+        .expect("closure ids are ascending rows of the adjacency");
+    let edges: Vec<(usize, usize)> = local
+        .iter()
+        .filter(|&(u, v, _)| u < v)
+        .map(|(u, v, _)| (u, v))
+        .collect();
     let sub = Graph::from_edges(local_ids.len(), &edges)?;
-    let original_degrees = local_ids.iter().map(|&old| adjacency[old].len()).collect();
+    let original_degrees = local_ids
+        .iter()
+        .map(|&global| adjacency.row_entries(global).0.len())
+        .collect();
     Ok(GraphPartition {
         part,
         parts: spec.num_parts(),
@@ -485,9 +469,9 @@ mod tests {
 
     #[test]
     fn partition_embedding_matches_full_graph_for_k_layer_gcn() {
-        // The motivating property, generalized from the ego-graph test:
-        // a partition with an L-hop halo and original degrees computes
-        // every *owned* node's L-layer GCN propagation bit-identically.
+        // The motivating property of a closure, for a partition: an
+        // L-hop halo with original degrees computes every *owned*
+        // node's L-layer GCN propagation bit-identically.
         use linalg::DenseMatrix;
         let g = Graph::from_edges(
             9,

@@ -561,6 +561,75 @@ impl CsrMatrix {
         }
     }
 
+    /// The principal submatrix on `ids`: row `i` of the result is row
+    /// `ids[i]` restricted to the columns in `ids`, renumbered so column
+    /// `ids[j]` becomes `j`. Stored values are copied, never recomputed,
+    /// and kept in their original column order — so a product over a
+    /// fully kept row accumulates exactly as it would on `self`.
+    ///
+    /// Costs `O(nnz(rows) · log |ids|)`, independent of `self.rows()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::IndexOutOfBounds`] when an id is not a
+    /// row of `self`, and [`LinalgError::ShapeMismatch`] when `self` is
+    /// not square or `ids` is not strictly ascending.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use linalg::CsrMatrix;
+    ///
+    /// # fn main() -> Result<(), linalg::LinalgError> {
+    /// let path = CsrMatrix::from_triplets(
+    ///     3, 3, &[(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 4.0)],
+    /// )?;
+    /// let sub = path.principal_submatrix(&[1, 2])?;
+    /// assert_eq!(sub.shape(), (2, 2));
+    /// assert_eq!(sub.get(0, 1), 3.0); // entry (1, 2)
+    /// assert_eq!(sub.nnz(), 2); // (1, 0) fell outside the ids
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn principal_submatrix(&self, ids: &[usize]) -> Result<CsrMatrix, LinalgError> {
+        if self.rows != self.cols || ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "principal_submatrix",
+                lhs: self.shape(),
+                rhs: (ids.len(), ids.len()),
+            });
+        }
+        if let Some(&bad) = ids.iter().find(|&&id| id >= self.rows) {
+            return Err(LinalgError::IndexOutOfBounds {
+                index: bad,
+                bound: self.rows,
+                axis: "row",
+            });
+        }
+        let mut row_ptr = Vec::with_capacity(ids.len() + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for &r in ids {
+            let (cols, vals) = self.row_entries(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if let Ok(local) = ids.binary_search(&c) {
+                    col_idx.push(local);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Ok(Self {
+            rows: ids.len(),
+            cols: ids.len(),
+            row_ptr,
+            col_idx,
+            values,
+            transpose_cache: std::sync::OnceLock::new(),
+        })
+    }
+
     /// Converts to a dense matrix (for tests and small examples).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.rows, self.cols);
@@ -612,6 +681,44 @@ mod tests {
         assert_eq!(m.get(1, 0), 2.0);
         assert_eq!(m.get(1, 2), 5.0);
         assert_eq!(m.get(0, 1), 0.0);
+    }
+
+    #[test]
+    fn principal_submatrix_keeps_values_and_order_on_the_ids() {
+        let a = CsrMatrix::from_triplets(
+            4,
+            4,
+            &[
+                (0, 0, 1.0),
+                (0, 3, 2.0),
+                (1, 2, 3.0),
+                (2, 0, 4.0),
+                (2, 1, 5.0),
+                (2, 3, 6.0),
+                (3, 3, 7.0),
+            ],
+        )
+        .unwrap();
+        let sub = a.principal_submatrix(&[0, 2, 3]).unwrap();
+        assert_eq!(sub.shape(), (3, 3));
+        let dense = sub.to_dense();
+        let want = [[1.0, 0.0, 2.0], [4.0, 0.0, 6.0], [0.0, 0.0, 7.0]];
+        for (r, row) in want.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                assert_eq!(dense.get(r, c), v, "({r}, {c})");
+            }
+        }
+        assert_eq!(a.principal_submatrix(&[]).unwrap().shape(), (0, 0));
+        let all = a.principal_submatrix(&[0, 1, 2, 3]).unwrap();
+        assert_eq!(all, a);
+        assert!(a.principal_submatrix(&[2, 1]).is_err(), "ids must ascend");
+        assert!(
+            a.principal_submatrix(&[1, 1]).is_err(),
+            "ids must be unique"
+        );
+        assert!(a.principal_submatrix(&[0, 4]).is_err(), "ids must be rows");
+        let wide = CsrMatrix::zeros(2, 3);
+        assert!(wide.principal_submatrix(&[0]).is_err(), "square only");
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //! ## Determinism
 //!
 //! Results never depend on batching, caching, routing, or shard count.
-//! Every replica runs the same full-graph rectification with the same
-//! weights, so an N-shard engine's labels are bit-identical to a
+//! Every replica rectifies each batch over its exact L-hop closure with
+//! the same weights, which reproduces the full-graph forward bit for
+//! bit, so an N-shard engine's labels are bit-identical to a
 //! single-shard engine's — and to sequential [`Vault::infer`] — for any
 //! request stream (asserted in `tests/engine.rs`). Supervision keeps
 //! the invariant: a restored shard serves the same retained snapshot,
@@ -1522,11 +1523,14 @@ impl ShardWorker {
         worker
     }
 
-    /// Swaps `vault` in as this shard's serving replica: opens fresh
-    /// enclave sessions (appending their stat slots), clears the result
-    /// cache, and adopts the vault's epoch. Used at startup, on
-    /// hot-swap install, on rollback, and on supervisor restore.
+    /// Swaps `vault` in as this shard's serving replica: binds the
+    /// engine's corpus to it (O(1): the first batch ships the taps and
+    /// leaves them resident for the epoch), opens fresh enclave
+    /// sessions (appending their stat slots), clears the result cache,
+    /// and adopts the vault's epoch. Used at startup, on hot-swap
+    /// install, on rollback, and on supervisor restore.
     fn adopt(&mut self, mut vault: Vault) {
+        vault.bind_features(Arc::clone(&self.features));
         let sessions: Vec<tee::EnclaveSession> = (0..self.wcfg.sessions)
             .map(|_| vault.open_session())
             .collect();

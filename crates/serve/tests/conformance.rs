@@ -169,6 +169,65 @@ fn fast_cache_labels_are_bit_identical_across_the_topology_matrix() {
 }
 
 #[test]
+fn bound_corpus_labels_and_tap_bytes_hold_across_the_topology_matrix() {
+    // Query-bounded serving: every shard binds the engine's corpus, so
+    // its first enclave batch ships the full tap set and every later
+    // batch answers from resident taps over its L-hop closure, with one
+    // ECALL. In every cell, with the result caches on or off (off sends
+    // every repeat through the resident path), labels equal sequential
+    // full-graph inference, and each shard ships exactly one full tap
+    // set whatever its first batch asked for.
+    let requests: Vec<Vec<usize>> = vec![
+        vec![0],
+        vec![5, 3, 3, 11, 0],
+        (0..N).collect(),
+        vec![23, 0, 12, 7],
+        (0..N).rev().collect(),
+        vec![13],
+        vec![0],
+        (0..N).collect(),
+    ];
+    for kind in RectifierKind::ALL {
+        let (mut vault, x, _) = toy_vault(N, kind);
+        let expected = sequential_labels(&mut vault, &x);
+        let mut session = vault.open_session();
+        let (_, unbound) = vault.infer_batch(&mut session, &x, &[0]).unwrap();
+        let (tap_set, tap_ecalls) = (unbound.transferred_bytes as u64, unbound.transitions);
+        for (shards, topology) in matrix() {
+            for cached in [false, true] {
+                let mut config = cell_config(shards, topology);
+                if !cached {
+                    config.cache_capacity = 0;
+                    config.fast_cache_slots = 0;
+                }
+                let cell = format!("{kind:?}, {shards} shards, {topology:?}, cached {cached}");
+                let (results, _, stats) =
+                    serve::serve_once(vault.spawn_replica().unwrap(), x.clone(), config, &requests)
+                        .unwrap();
+                for (request, result) in requests.iter().zip(&results) {
+                    let labels = result.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let want: Vec<_> = request.iter().map(|&n| expected[n]).collect();
+                    assert_eq!(labels, &want, "{cell}");
+                }
+                let mut ecalls = 0;
+                for shard in &stats.shards {
+                    let bytes: u64 = shard.sessions.iter().map(|s| s.transferred_bytes).sum();
+                    let served = shard.enclave_batches > 0;
+                    assert_eq!(bytes, if served { tap_set } else { 0 }, "{cell}");
+                    if served {
+                        ecalls += tap_ecalls + shard.enclave_batches - 1;
+                    }
+                }
+                assert_eq!(
+                    stats.enclave_transitions, ecalls,
+                    "{cell}: one ECALL per later batch"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn hot_swap_is_clean_and_lossless_across_the_topology_matrix() {
     // Zero-downtime deploy: every pre-deploy query answers the old
     // model, every post-deploy query the new one, nothing is dropped,

@@ -13,7 +13,9 @@ mod common;
 use common::{sequential_labels, toy_vault, toy_vault_flipped, toy_vault_with_budget};
 use gnnvault::RectifierKind;
 use linalg::DenseMatrix;
-use serve::{BatchPolicy, ServeConfig, ServeError, ServingEngine, ShardHealth};
+use serve::{BatchPolicy, ServeConfig, ServeError, ServingEngine, ShardHealth, Topology};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use tee::{ClassLabel, SealKey};
 
@@ -794,6 +796,85 @@ fn hot_swap_deploys_new_epoch_without_dropping_or_mixing_responses() {
     }
     // Nothing was dropped: every submission above was answered.
     assert_eq!(stats.answered_nodes, 4 * 120 + n as u64);
+}
+
+#[test]
+fn alternating_deploys_mid_storm_leave_no_stale_labels() {
+    // Taps become resident in the vault an install replaces, so every
+    // epoch ships its own. With both result caches off, every answer
+    // after a deploy returns is computed from the new epoch's taps and
+    // must be the new model's, in both topologies, across a run of
+    // deploys alternating two models while clients keep querying.
+    let n = 16;
+    let key_a = SealKey(7);
+    let (mut vault_a, x, _) = toy_vault(n, RectifierKind::Series);
+    let expected_a = sequential_labels(&mut vault_a, &x);
+    let key_b = SealKey(99);
+    let (mut vault_b, _) = toy_vault_flipped(n, key_b);
+    let expected_b = sequential_labels(&mut vault_b, &x);
+    assert_ne!(expected_a, expected_b);
+    let (snapshot_a, snapshot_b) = (vault_a.snapshot(), vault_b.snapshot());
+    for topology in [Topology::Replicated, Topology::Partitioned] {
+        let engine = ServingEngine::start(
+            vault_a.spawn_replica().unwrap(),
+            x.clone(),
+            ServeConfig {
+                policy: BatchPolicy {
+                    max_batch_nodes: 8,
+                    max_delay: Duration::from_millis(1),
+                    max_queue_requests: 4096,
+                    ..BatchPolicy::default()
+                },
+                sessions: 2,
+                cache_capacity: 0,
+                fast_cache_slots: 0,
+                shards: 2,
+                topology,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let clients: Vec<_> = (0..3)
+            .map(|t| {
+                let handle = engine.handle();
+                let (a, b, done) = (expected_a.clone(), expected_b.clone(), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut i = 0;
+                    while !done.load(Ordering::Relaxed) {
+                        let node = (t * 7 + i) % n;
+                        let labels = handle.submit_one(node).unwrap().wait().unwrap();
+                        assert!(
+                            labels[0] == a[node] || labels[0] == b[node],
+                            "{topology:?}: label {:?} is neither model's",
+                            labels[0]
+                        );
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+        let handle = engine.handle();
+        for round in 0..6 {
+            let (snapshot, key, expected) = if round % 2 == 0 {
+                (&snapshot_b, key_b, &expected_b)
+            } else {
+                (&snapshot_a, key_a, &expected_a)
+            };
+            engine.deploy(snapshot, key).unwrap();
+            for _ in 0..2 {
+                let labels = handle.submit((0..n).collect()).unwrap().wait().unwrap();
+                assert_eq!(&labels, expected, "{topology:?} round {round}: stale label");
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+        for client in clients {
+            client.join().unwrap();
+        }
+        let (_, stats) = engine.shutdown();
+        assert_eq!(stats.failed_batches, 0, "{topology:?}");
+        assert!(stats.shards.iter().all(|s| s.deploys == 6), "{topology:?}");
+    }
 }
 
 #[test]

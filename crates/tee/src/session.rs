@@ -119,6 +119,17 @@ impl EnclaveSession {
         self.channel.send(enclave, payload)
     }
 
+    /// Charges one ECALL that carries no payload — a batch answered
+    /// from state already resident in the enclave. It shows up in the
+    /// batch's receipts as a zero-byte transfer.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`EnclaveSession::send`].
+    pub fn call(&mut self, enclave: &mut EnclaveSim) -> Result<TransferReceipt, TeeError> {
+        self.channel.send(enclave, Bytes::new())
+    }
+
     /// Takes the payloads delivered in the current batch (enclave side).
     pub fn drain(&mut self) -> Vec<Bytes> {
         self.channel.drain()
@@ -203,6 +214,18 @@ mod tests {
         assert_eq!(s.batches_served(), 1_000);
         assert_eq!(s.lifetime_bytes(), 7_000);
         assert_eq!(s.batch_bytes(), 7);
+    }
+
+    #[test]
+    fn a_payload_free_call_is_one_transition_and_zero_bytes() {
+        let mut enclave = EnclaveSim::with_defaults();
+        let mut s = EnclaveSession::new(SessionId(4));
+        s.begin_batch();
+        let receipt = s.call(&mut enclave).unwrap();
+        assert_eq!(receipt.bytes, 0);
+        assert_eq!(receipt.simulated_ns, CostModel::default().transition_ns);
+        assert_eq!(s.batch_bytes(), 0);
+        assert_eq!(enclave.transitions(), 1);
     }
 
     #[test]
