@@ -519,13 +519,17 @@ fn bench_serving_partitioned(c: &mut Criterion) {
             "serving_partitioned/{shards}: sealed snapshot bytes per shard {per_shard:?} \
              vs {full_bytes} full-replica (x{shards} when replicated)"
         );
-        // With ≥ 2 partitions each shard's closure misses part of the
-        // graph, so its snapshot must undercut a full replica's. (A
-        // 1-partition "cut" is the whole graph plus ownership metadata
-        // — there is nothing to save.)
+        // A 1-way cut is the full snapshot itself (a full vault is
+        // partition 0 of 1). With ≥ 2 partitions each shard's closure
+        // misses part of the graph, so its snapshot must undercut a
+        // full replica's.
         assert!(
-            shards == 1 || per_shard.iter().all(|&bytes| bytes < full_bytes),
-            "every partition must seal fewer bytes than a full replica"
+            if shards == 1 {
+                per_shard == [full_bytes]
+            } else {
+                per_shard.iter().all(|&bytes| bytes < full_bytes)
+            },
+            "a 1-way cut must seal the full replica's bytes, every other partition fewer"
         );
         let engine = ServingEngine::start(
             vault.spawn_replica().expect("replica"),

@@ -244,7 +244,7 @@ impl Rectifier {
     }
 
     /// Input width of rectifier layer `i` under the wiring rules.
-    fn input_dim(
+    pub(crate) fn input_dim(
         kind: RectifierKind,
         channels: &[usize],
         backbone_dims: &[usize],

@@ -4,10 +4,10 @@
 //! A snapshot captures everything a replica needs to answer queries
 //! bit-identically to the source vault — backbone weights (and the
 //! public substitute graph), rectifier weights, the tap-set wiring, the
-//! private real graph, and the deployment's enclave configuration
-//! (EPC budget, cost model, over-budget policy) — but *not* the public
-//! feature corpus, which lives in the untrusted world and is supplied
-//! at serving time.
+//! vault's part of the private real graph, and the deployment's enclave
+//! configuration (EPC budget, cost model, over-budget policy) — but
+//! *not* the public feature corpus, which lives in the untrusted world
+//! and is supplied at serving time.
 //!
 //! The payload is sealed with [`tee::Sealed`] under a key derived from
 //! the deployment's [`SealKey`](tee::SealKey) (purpose
@@ -20,11 +20,19 @@
 //! identity: `(epoch, node)` keys mean the same answer on every
 //! replica.
 //!
-//! Layout (versionless little-endian, like [`tee::codec`]; both sides
-//! are always built from the same binary):
+//! There is one layout. Every vault holds partition `part` of `parts`
+//! of the private graph: the nodes it owns, their closure (owned nodes
+//! plus the halo the rectifier's receptive field reaches), and the
+//! graph induced on the closure. A full deployment is partition 0 of 1
+//! — it owns every node and its closure is the whole graph — so full
+//! and partition replicas go through the same encoder and decoder, and
+//! a 1-way partitioning of a vault seals exactly the bytes of
+//! [`Vault::snapshot`](crate::Vault::snapshot). Little-endian, like
+//! [`tee::codec`]:
 //!
 //! ```text
-//! magic u64 | epoch u64 | num_nodes u64
+//! magic u64 ("GV_SNAP5") | precision u8 (0 f32, 1 int8)
+//! epoch u64 | num_nodes u64 | part u64 | parts u64
 //! epc_budget u64 | cost{transition,per_byte,page_swap,slowdown} u64×4
 //! policy u8
 //! backbone: tag u8 (0 GCN, 1 MLP)
@@ -32,46 +40,51 @@
 //!   MLP: network
 //! rectifier: kind u8 | conv u8 | backbone_dims | channels | taps
 //!   | per-layer params (count u64, matrices)
-//! real graph: num_edges u64 | (u,v) u64 pairs
+//! owned: id runs | closure: id runs
+//! local graph: num_edges u64 | (u,v) u64 pairs in closure-local ids
+//! degree deltas
 //! ```
 //!
-//! where `network` is `input_dim u64 | layers u64 | per layer (in u64,
-//! out u64, weight matrix, bias matrix)`, a matrix is `rows u64 | cols
-//! u64 | f32-LE data`, and a graph is `num_nodes u64 | num_edges u64 |
-//! (u,v) u64 pairs`.
+//! where `num_nodes` is the global node count, `network` is `input_dim
+//! u64 | layers u64 | per layer (in u64, out u64, weight matrix, bias
+//! matrix)`, a matrix is `rows u64 | cols u64 | f32-LE data`, a list is
+//! `len u64 | u64 items`, and a graph is `num_nodes u64 | num_edges u64
+//! | (u,v) u64 pairs`.
 //!
-//! A *per-partition* snapshot (magic `GV_SNAP2`, produced by
-//! [`Vault::snapshot_partition`](crate::Vault::snapshot_partition))
-//! replaces the trailing full real graph with one partition's private
-//! state — the owned-node list, the closure's global-id map, the
-//! full-graph degree vector, and the induced local COO — while keeping
-//! the shared backbone/rectifier weights:
+//! The graph-state tail stores only what the decoder cannot derive —
+//! the delta idea of Bille et al.'s D²FA compression:
 //!
-//! ```text
-//! magic u64 | epoch u64 | num_global_nodes u64 | part u64 | parts u64
-//! epc_budget u64 | cost u64×4 | policy u8 | backbone | rectifier
-//! owned (global ids) | local_ids (global ids) | original_degrees
-//! local graph
-//! ```
+//! - **Id runs.** An ascending id list is written as `count varint`
+//!   then `(gap varint, len varint)` per run of consecutive ids, `gap`
+//!   counted from the end of the previous run (`varint` is unsigned
+//!   LEB128). A full vault's owned set and closure are one run each, as
+//!   is a block partition's owned set.
+//! - **Local graph.** Its node count is the closure's length.
+//! - **Degree deltas.** Normalization needs each closure node's
+//!   *full-graph* degree, which equals its local-graph degree except on
+//!   the closure's rim. Only the rim is written: `count varint` then
+//!   `(index gap varint, full − local varint)` per differing node, in
+//!   ascending local-id order. A full vault writes none.
 //!
-//! Restoring it builds a *partial* vault that answers only its owned
-//! nodes — bit-identically to the full vault, because the closure spans
-//! the rectifier's receptive field and normalization uses the original
-//! degrees.
-//!
-//! An *int8* vault ([`Precision::Int8`](crate::Precision), magics
-//! `GV_SNAP3` full / `GV_SNAP4` partition) snapshots with every
-//! projection weight replaced by its quantized form — `out_dim u64 |
+//! At int8 precision ([`Precision::Int8`](crate::Precision)) every
+//! projection weight is written in its quantized form — `out_dim u64 |
 //! in_dim u64 | i8 codes | f32 per-channel scales` — while biases,
 //! attention vectors, and graphs stay f32/exact. Codes and scales are
 //! stored *verbatim* (never re-derived on restore), so replicas of an
 //! int8 snapshot serve bit-identically to their source and re-snapshot
 //! to identical bytes; the f32 network halves are rebuilt from the
-//! dequantized weights. The f32 forms (`GV_SNAP1`/`GV_SNAP2`) are
-//! byte-for-byte unchanged by the int8 extension.
+//! dequantized weights.
+//!
+//! Decoding treats the payload as untrusted bytes: every failure is a
+//! [`VaultError::Snapshot`], never a panic. Widths, list lengths and
+//! edge counts are checked against the bytes and matrices that follow
+//! them before anything is allocated from them. Id runs describe many
+//! nodes in a few bytes, so node counts are instead cross-checked
+//! against every field that implies them: the substitute graph, the
+//! owned set of a 1-part layout, the runs and the edge endpoints.
 
 use crate::backbone::QuantizedBackboneNet;
-use crate::vault::QuantizedModel;
+use crate::vault::{IdRuns, QuantizedModel, VaultPartition};
 use crate::{Backbone, Rectifier, RectifierKind, SubstituteKind, VaultError};
 use graph::Graph;
 use linalg::{DenseMatrix, QuantizedMatrix};
@@ -81,22 +94,14 @@ use nn::{
 };
 use tee::{CostModel, OverBudgetPolicy, Sealed};
 
-/// Format marker at offset 0 of every full-vault snapshot payload.
-const MAGIC: u64 = 0x4756_5F53_4E41_5031; // "GV_SNAP1"
-
-/// Format marker of the per-partition snapshot form.
-const MAGIC_PARTITION: u64 = 0x4756_5F53_4E41_5032; // "GV_SNAP2"
-
-/// Format marker of the int8 full-vault snapshot form.
-const MAGIC_INT8: u64 = 0x4756_5F53_4E41_5033; // "GV_SNAP3"
-
-/// Format marker of the int8 per-partition snapshot form.
-const MAGIC_INT8_PARTITION: u64 = 0x4756_5F53_4E41_5034; // "GV_SNAP4"
+/// Format marker at offset 0 of every snapshot payload.
+const MAGIC: u64 = 0x4756_5F53_4E41_5035; // "GV_SNAP5"
 
 /// Which partition a sealed snapshot carries — clear routing metadata
 /// on a [`VaultSnapshot`], mirrored (and cross-checked) inside the
-/// sealed payload. Ownership is a pure function of the node id, so
-/// exposing `part`/`parts` reveals nothing about the private edges.
+/// sealed payload. A full snapshot carries partition 0 of 1. Ownership
+/// is a pure function of the node id, so exposing `part`/`parts`
+/// reveals nothing about the private edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPartition {
     part: usize,
@@ -113,7 +118,8 @@ impl SnapshotPartition {
         self.part
     }
 
-    /// Total number of partitions in the deployment.
+    /// Total number of partitions in the deployment (1 for a full
+    /// snapshot).
     pub fn parts(&self) -> usize {
         self.parts
     }
@@ -122,11 +128,11 @@ impl SnapshotPartition {
 /// A sealed, deployable image of a trained vault.
 ///
 /// Produced by [`Vault::snapshot`](crate::Vault::snapshot); consumed by
-/// [`Vault::restore`](crate::Vault::restore). The epoch and corpus size
-/// are exposed in the clear (they are serving-layer routing metadata,
-/// not secrets — the untrusted world already knows both); everything
-/// else, including the private real graph and rectifier weights, lives
-/// only inside the sealed payload.
+/// [`Vault::restore`](crate::Vault::restore). The epoch, corpus size
+/// and partition stamp are exposed in the clear (they are serving-layer
+/// routing metadata, not secrets — the untrusted world already knows
+/// them); everything else, including the private real graph and
+/// rectifier weights, lives only inside the sealed payload.
 ///
 /// # Examples
 ///
@@ -135,7 +141,7 @@ impl SnapshotPartition {
 pub struct VaultSnapshot {
     epoch: u64,
     num_nodes: usize,
-    partition: Option<SnapshotPartition>,
+    partition: SnapshotPartition,
     sealed: Sealed,
 }
 
@@ -155,9 +161,9 @@ impl VaultSnapshot {
         self.num_nodes
     }
 
-    /// Which partition this snapshot carries, or `None` for a full
-    /// (replica) snapshot.
-    pub fn partition(&self) -> Option<SnapshotPartition> {
+    /// Which partition this snapshot carries: partition 0 of 1 for a
+    /// full (replica) snapshot.
+    pub fn partition(&self) -> SnapshotPartition {
         self.partition
     }
 
@@ -168,18 +174,7 @@ impl VaultSnapshot {
 
     /// Wraps an already-sealed payload (crate-internal; use
     /// [`Vault::snapshot`](crate::Vault::snapshot)).
-    pub(crate) fn from_parts(epoch: u64, num_nodes: usize, sealed: Sealed) -> Self {
-        Self {
-            epoch,
-            num_nodes,
-            partition: None,
-            sealed,
-        }
-    }
-
-    /// Wraps a sealed per-partition payload (crate-internal; use
-    /// [`Vault::snapshot_partition`](crate::Vault::snapshot_partition)).
-    pub(crate) fn from_partition_parts(
+    pub(crate) fn from_parts(
         epoch: u64,
         num_nodes: usize,
         partition: SnapshotPartition,
@@ -188,7 +183,7 @@ impl VaultSnapshot {
         Self {
             epoch,
             num_nodes,
-            partition: Some(partition),
+            partition,
             sealed,
         }
     }
@@ -200,13 +195,9 @@ impl VaultSnapshot {
 }
 
 /// Everything [`Vault::restore`](crate::Vault::restore) needs to rebuild
-/// a deployment from a decoded payload. For a partition payload,
-/// `real_graph` is the induced *local* graph and `partition` carries the
-/// ownership maps; for a full payload `partition` is `None` and
-/// `num_global_nodes == real_graph.num_nodes()`.
+/// a deployment from a decoded payload.
 pub(crate) struct DecodedVault {
     pub epoch: u64,
-    pub num_global_nodes: usize,
     pub epc_budget: usize,
     pub cost: CostModel,
     pub policy: OverBudgetPolicy,
@@ -216,21 +207,9 @@ pub(crate) struct DecodedVault {
     /// weights. The f32 `backbone`/`rectifier` then hold dequantized
     /// weights and exist for wiring, shapes, and precision switches.
     pub quantized: Option<QuantizedModel>,
+    /// The graph induced on the closure, in closure-local ids.
     pub real_graph: Graph,
-    pub partition: Option<DecodedPartition>,
-}
-
-/// The ownership maps of a decoded per-partition payload.
-pub(crate) struct DecodedPartition {
-    pub part: usize,
-    pub parts: usize,
-    /// Global ids owned by this partition, strictly ascending.
-    pub owned: Vec<usize>,
-    /// Global ids of the closure (`owned ∪ halo`), strictly ascending;
-    /// index in this list is the local id.
-    pub local_ids: Vec<usize>,
-    /// Full-graph degree per local id.
-    pub original_degrees: Vec<usize>,
+    pub partition: VaultPartition,
 }
 
 /// Shorthand for decode failures.
@@ -274,10 +253,40 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Unsigned LEB128: seven bits per byte, high bit set on all but
+    /// the last.
+    fn put_varint(&mut self, mut v: usize) {
+        while v >= 0x80 {
+            self.put_u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.put_u8(v as u8);
+    }
+
     fn put_usizes(&mut self, vs: &[usize]) {
         self.put_usize(vs.len());
         for &v in vs {
             self.put_usize(v);
+        }
+    }
+
+    fn put_id_runs(&mut self, ids: &IdRuns) {
+        self.put_varint(ids.runs().len());
+        let mut next = 0;
+        for run in ids.runs() {
+            self.put_varint(run.start - next);
+            self.put_varint(run.len());
+            next = run.end;
+        }
+    }
+
+    fn put_degree_deltas(&mut self, deltas: &[(usize, usize)]) {
+        self.put_varint(deltas.len());
+        let mut next = 0;
+        for &(i, delta) in deltas {
+            self.put_varint(i - next);
+            self.put_varint(delta);
+            next = i + 1;
         }
     }
 
@@ -300,13 +309,17 @@ impl Writer {
         }
     }
 
-    fn put_graph(&mut self, g: &Graph) {
-        self.put_usize(g.num_nodes());
+    fn put_edges(&mut self, g: &Graph) {
         self.put_usize(g.num_edges());
         for &(u, v) in g.edges() {
             self.put_usize(u);
             self.put_usize(v);
         }
+    }
+
+    fn put_graph(&mut self, g: &Graph) {
+        self.put_usize(g.num_nodes());
+        self.put_edges(g);
     }
 }
 
@@ -363,6 +376,22 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    fn get_varint(&mut self) -> Result<usize, VaultError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if bits << shift >> shift != bits {
+                return Err(bad("varint overflows u64"));
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                return usize::try_from(value).map_err(|_| bad("varint overflows usize"));
+            }
+        }
+        Err(bad("varint longer than ten bytes"))
+    }
+
     fn get_usizes(&mut self) -> Result<Vec<usize>, VaultError> {
         let len = self.get_usize()?;
         // Cheap sanity bound: each element needs 8 payload bytes.
@@ -372,9 +401,66 @@ impl<'a> Reader<'a> {
         (0..len).map(|_| self.get_usize()).collect()
     }
 
+    /// Reads an id set whose runs must stay below `bound`.
+    fn get_id_runs(&mut self, bound: usize, what: &str) -> Result<IdRuns, VaultError> {
+        let count = self.get_varint()?;
+        let mut ids = IdRuns::default();
+        let mut next = 0usize;
+        for _ in 0..count {
+            let gap = self.get_varint()?;
+            let len = self.get_varint()?;
+            let end = next
+                .checked_add(gap)
+                .and_then(|start| start.checked_add(len))
+                .filter(|&end| end <= bound)
+                .ok_or_else(|| bad(format!("{what} runs past node {bound}")))?;
+            ids.push(end - len..end);
+            next = end;
+        }
+        Ok(ids)
+    }
+
+    /// Reads the degree deltas of a `closure_len`-node closure whose
+    /// local graph has `num_edges` edges, in a `num_nodes`-node graph.
+    fn get_degree_deltas(
+        &mut self,
+        closure_len: usize,
+        num_edges: usize,
+        num_nodes: usize,
+    ) -> Result<Vec<(usize, usize)>, VaultError> {
+        let count = self.get_varint()?;
+        let mut deltas = Vec::new();
+        let mut next = 0usize;
+        for _ in 0..count {
+            let i = next
+                .checked_add(self.get_varint()?)
+                .filter(|&i| i < closure_len)
+                .ok_or_else(|| bad("degree delta indexes past the closure"))?;
+            // A full-graph degree is below the node count, and a local
+            // degree (at most the edge count) plus the delta must fit.
+            let delta = self.get_varint()?;
+            if delta >= num_nodes || delta.checked_add(num_edges).is_none() {
+                return Err(bad(format!("degree delta {delta} out of range")));
+            }
+            deltas.push((i, delta));
+            next = i + 1;
+        }
+        Ok(deltas)
+    }
+
+    /// Rejects a matrix dimension no payload this long can back. Each
+    /// dimension is bounded on its own: a zero-width matrix holds no
+    /// values, yet code that walks its rows still pays for them.
+    fn check_dim(&self, dim: usize) -> Result<usize, VaultError> {
+        if dim > self.buf.len() / 4 + 1 {
+            return Err(bad(format!("implausible matrix dimension {dim}")));
+        }
+        Ok(dim)
+    }
+
     fn get_matrix(&mut self) -> Result<DenseMatrix, VaultError> {
-        let rows = self.get_usize()?;
-        let cols = self.get_usize()?;
+        let rows = self.get_usize().and_then(|d| self.check_dim(d))?;
+        let cols = self.get_usize().and_then(|d| self.check_dim(d))?;
         let n = rows
             .checked_mul(cols)
             .filter(|&n| n <= self.buf.len() / 4 + 1)
@@ -387,11 +473,8 @@ impl<'a> Reader<'a> {
     }
 
     fn get_qmatrix(&mut self) -> Result<QuantizedMatrix, VaultError> {
-        let out_dim = self.get_usize()?;
-        let in_dim = self.get_usize()?;
-        if out_dim > self.buf.len() / 4 + 1 {
-            return Err(bad(format!("implausible channel count {out_dim}")));
-        }
+        let out_dim = self.get_usize().and_then(|d| self.check_dim(d))?;
+        let in_dim = self.get_usize().and_then(|d| self.check_dim(d))?;
         let n = out_dim
             .checked_mul(in_dim)
             .filter(|&n| n <= self.buf.len())
@@ -404,8 +487,9 @@ impl<'a> Reader<'a> {
         QuantizedMatrix::from_parts(out_dim, in_dim, data, scales).map_err(|e| bad(e.to_string()))
     }
 
-    fn get_graph(&mut self) -> Result<Graph, VaultError> {
-        let num_nodes = self.get_usize()?;
+    /// Reads an edge list over `num_nodes` nodes (endpoints are checked
+    /// by [`Graph::from_edges`], which allocates per edge, not per node).
+    fn get_edges(&mut self, num_nodes: usize) -> Result<Graph, VaultError> {
         let num_edges = self.get_usize()?;
         if num_edges > self.buf.len() / 16 + 1 {
             return Err(bad(format!("implausible edge count {num_edges}")));
@@ -416,15 +500,22 @@ impl<'a> Reader<'a> {
         }
         Graph::from_edges(num_nodes, &pairs).map_err(|e| bad(e.to_string()))
     }
+
+    fn get_graph(&mut self) -> Result<Graph, VaultError> {
+        let num_nodes = self.get_usize()?;
+        self.get_edges(num_nodes)
+    }
 }
 
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Encodes a deployment into the deterministic snapshot payload
-/// (pre-sealing). With `quantized`, emits the int8 form (`GV_SNAP3`):
-/// projection weights as stored codes + scales, everything else f32.
+/// Encodes one partition of a deployment — for a full vault, its
+/// 0-of-1 partition — into the deterministic snapshot payload
+/// (pre-sealing). `local_graph` is the graph induced on the partition's
+/// closure. With `quantized`, projection weights are written as stored
+/// codes + scales.
 #[allow(clippy::too_many_arguments)] // flat encoder signature mirrors the payload layout
 pub(crate) fn encode(
     epoch: u64,
@@ -434,71 +525,23 @@ pub(crate) fn encode(
     backbone: &Backbone,
     rectifier: &Rectifier,
     quantized: Option<&QuantizedModel>,
-    real_graph: &Graph,
+    partition: &VaultPartition,
+    local_graph: &Graph,
 ) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u64(if quantized.is_some() {
-        MAGIC_INT8
-    } else {
-        MAGIC
-    });
+    w.put_u64(MAGIC);
+    w.put_u8(u8::from(quantized.is_some()));
     w.put_u64(epoch);
-    w.put_usize(real_graph.num_nodes());
+    w.put_usize(partition.num_global_nodes);
+    w.put_usize(partition.part);
+    w.put_usize(partition.parts);
     encode_config(&mut w, epc_budget, cost, policy);
     encode_backbone(&mut w, backbone, quantized.map(|q| &q.backbone));
     encode_rectifier(&mut w, rectifier, quantized.map(|q| q.rectifier.as_slice()));
-
-    w.put_usize(real_graph.num_edges());
-    for &(u, v) in real_graph.edges() {
-        w.put_usize(u);
-        w.put_usize(v);
-    }
-    w.buf
-}
-
-/// Borrowed view of one partition's private state, handed to
-/// [`encode_partition`] by `Vault::snapshot_partition`.
-pub(crate) struct PartitionParts<'a> {
-    pub part: usize,
-    pub parts: usize,
-    pub num_global_nodes: usize,
-    pub owned: &'a [usize],
-    pub local_ids: &'a [usize],
-    pub original_degrees: &'a [usize],
-    pub local_graph: &'a Graph,
-}
-
-/// Encodes one partition of a deployment into the `GV_SNAP2` payload
-/// (pre-sealing): shared weights plus only this partition's private
-/// graph state.
-#[allow(clippy::too_many_arguments)] // flat encoder signature mirrors the payload layout
-pub(crate) fn encode_partition(
-    epoch: u64,
-    epc_budget: usize,
-    cost: &CostModel,
-    policy: OverBudgetPolicy,
-    backbone: &Backbone,
-    rectifier: &Rectifier,
-    quantized: Option<&QuantizedModel>,
-    p: &PartitionParts<'_>,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(if quantized.is_some() {
-        MAGIC_INT8_PARTITION
-    } else {
-        MAGIC_PARTITION
-    });
-    w.put_u64(epoch);
-    w.put_usize(p.num_global_nodes);
-    w.put_usize(p.part);
-    w.put_usize(p.parts);
-    encode_config(&mut w, epc_budget, cost, policy);
-    encode_backbone(&mut w, backbone, quantized.map(|q| &q.backbone));
-    encode_rectifier(&mut w, rectifier, quantized.map(|q| q.rectifier.as_slice()));
-    w.put_usizes(p.owned);
-    w.put_usizes(p.local_ids);
-    w.put_usizes(p.original_degrees);
-    w.put_graph(p.local_graph);
+    w.put_id_runs(&partition.owned);
+    w.put_id_runs(&partition.closure);
+    w.put_edges(local_graph);
+    w.put_degree_deltas(&partition.degree_deltas);
     w.buf
 }
 
@@ -515,7 +558,9 @@ fn encode_config(w: &mut Writer, epc_budget: usize, cost: &CostModel, policy: Ov
 }
 
 fn encode_backbone(w: &mut Writer, backbone: &Backbone, quantized: Option<&QuantizedBackboneNet>) {
-    match backbone {
+    // Each layer as (in, out, weight, bias); the two networks share the
+    // layout after their tag.
+    let (input_dim, layers): (usize, Vec<_>) = match backbone {
         Backbone::Gcn {
             network,
             substitute_graph,
@@ -525,44 +570,31 @@ fn encode_backbone(w: &mut Writer, backbone: &Backbone, quantized: Option<&Quant
             w.put_u8(0);
             encode_substitute_kind(w, kind);
             w.put_graph(substitute_graph);
-            let qlayers = quantized.map(|q| match q {
-                QuantizedBackboneNet::Gcn(q) => q.layers(),
-                QuantizedBackboneNet::Mlp(_) => {
-                    unreachable!("quantized mirror is built from this backbone")
-                }
-            });
-            w.put_usize(network.input_dim());
-            w.put_usize(network.num_layers());
-            for (i, layer) in network.layers().iter().enumerate() {
-                w.put_usize(layer.in_dim());
-                w.put_usize(layer.out_dim());
-                match qlayers {
-                    Some(qs) => w.put_qmatrix(qs[i].weight()),
-                    None => w.put_matrix(&layer.weight().value),
-                }
-                w.put_matrix(&layer.bias().value);
-            }
+            let layers = network.layers().iter();
+            let layers = layers.map(|l| (l.in_dim(), l.out_dim(), l.weight(), l.bias()));
+            (network.input_dim(), layers.collect())
         }
         Backbone::Mlp { network } => {
             w.put_u8(1);
-            let qlayers = quantized.map(|q| match q {
-                QuantizedBackboneNet::Mlp(q) => q.layers(),
-                QuantizedBackboneNet::Gcn(_) => {
-                    unreachable!("quantized mirror is built from this backbone")
-                }
-            });
-            w.put_usize(network.input_dim());
-            w.put_usize(network.num_layers());
-            for (i, layer) in network.layers().iter().enumerate() {
-                w.put_usize(layer.in_dim());
-                w.put_usize(layer.out_dim());
-                match qlayers {
-                    Some(qs) => w.put_qmatrix(qs[i].weight()),
-                    None => w.put_matrix(&layer.weight().value),
-                }
-                w.put_matrix(&layer.bias().value);
-            }
+            let layers = network.layers().iter();
+            let layers = layers.map(|l| (l.in_dim(), l.out_dim(), l.weight(), l.bias()));
+            (network.input_dim(), layers.collect())
         }
+    };
+    let qweights: Option<Vec<&QuantizedMatrix>> = quantized.map(|q| match q {
+        QuantizedBackboneNet::Gcn(q) => q.layers().iter().map(|l| l.weight()).collect(),
+        QuantizedBackboneNet::Mlp(q) => q.layers().iter().map(|l| l.weight()).collect(),
+    });
+    w.put_usize(input_dim);
+    w.put_usize(layers.len());
+    for (i, (in_dim, out_dim, weight, bias)) in layers.into_iter().enumerate() {
+        w.put_usize(in_dim);
+        w.put_usize(out_dim);
+        match &qweights {
+            Some(qs) => w.put_qmatrix(qs[i]),
+            None => w.put_matrix(&weight.value),
+        }
+        w.put_matrix(&bias.value);
     }
 }
 
@@ -629,142 +661,73 @@ fn encode_substitute_kind(w: &mut Writer, kind: &SubstituteKind) {
 // ---------------------------------------------------------------------
 
 /// Decodes a snapshot payload back into deployment parts, validating
-/// every shape against the reconstructed architecture. Dispatches on
-/// the magic: `GV_SNAP1`/`GV_SNAP3` (full vault, f32/int8) or
-/// `GV_SNAP2`/`GV_SNAP4` (one partition, f32/int8).
+/// every shape against the reconstructed architecture and every id
+/// against the node count. Every failure is a [`VaultError::Snapshot`],
+/// including one a network, layer or graph constructor reports.
 pub(crate) fn decode(payload: &[u8]) -> Result<DecodedVault, VaultError> {
-    let mut r = Reader::new(payload);
-    match r.get_u64()? {
-        MAGIC => decode_full(r, false),
-        MAGIC_INT8 => decode_full(r, true),
-        MAGIC_PARTITION => decode_partition(r, false),
-        MAGIC_INT8_PARTITION => decode_partition(r, true),
-        _ => Err(bad("bad magic: not a vault snapshot")),
-    }
-}
-
-/// Pairs a decoded f32 backbone/rectifier with their quantized halves
-/// when the payload was int8.
-fn assemble_quantized(
-    qnet: Option<QuantizedBackboneNet>,
-    qlayers: Option<Vec<QuantizedConvLayer>>,
-) -> Option<QuantizedModel> {
-    match (qnet, qlayers) {
-        (Some(backbone), Some(rectifier)) => Some(QuantizedModel {
-            backbone,
-            rectifier,
-        }),
-        _ => None,
-    }
-}
-
-fn decode_full(mut r: Reader<'_>, int8: bool) -> Result<DecodedVault, VaultError> {
-    let epoch = r.get_u64()?;
-    let num_nodes = r.get_usize()?;
-    let (epc_budget, cost, policy) = decode_config(&mut r)?;
-    let (backbone, qnet) = decode_backbone(&mut r, int8)?;
-    let (rectifier, qlayers) = decode_rectifier(&mut r, &backbone, int8)?;
-
-    let num_edges = r.get_usize()?;
-    if num_edges > r.buf.len() / 16 + 1 {
-        return Err(bad(format!("implausible edge count {num_edges}")));
-    }
-    let mut pairs = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        pairs.push((r.get_usize()?, r.get_usize()?));
-    }
-    let real_graph = Graph::from_edges(num_nodes, &pairs).map_err(|e| bad(e.to_string()))?;
-    r.finish()?;
-
-    Ok(DecodedVault {
-        epoch,
-        num_global_nodes: num_nodes,
-        epc_budget,
-        cost,
-        policy,
-        backbone,
-        rectifier,
-        quantized: assemble_quantized(qnet, qlayers),
-        real_graph,
-        partition: None,
+    decode_payload(payload).map_err(|e| match e {
+        VaultError::Snapshot { .. } => e,
+        other => bad(other.to_string()),
     })
 }
 
-fn decode_partition(mut r: Reader<'_>, int8: bool) -> Result<DecodedVault, VaultError> {
+fn decode_payload(payload: &[u8]) -> Result<DecodedVault, VaultError> {
+    let mut r = Reader::new(payload);
+    if r.get_u64()? != MAGIC {
+        return Err(bad("bad magic: not a vault snapshot"));
+    }
+    let int8 = match r.get_u8()? {
+        0 => false,
+        1 => true,
+        t => return Err(bad(format!("unknown precision tag {t}"))),
+    };
     let epoch = r.get_u64()?;
-    let num_global_nodes = r.get_usize()?;
+    let num_nodes = r.get_usize()?;
     let part = r.get_usize()?;
     let parts = r.get_usize()?;
     if part >= parts {
         return Err(bad(format!("partition index {part} out of {parts}")));
     }
     let (epc_budget, cost, policy) = decode_config(&mut r)?;
-    let (backbone, qnet) = decode_backbone(&mut r, int8)?;
+    let (backbone, qnet) = decode_backbone(&mut r, num_nodes, int8)?;
     let (rectifier, qlayers) = decode_rectifier(&mut r, &backbone, int8)?;
-    let owned = r.get_usizes()?;
-    let local_ids = r.get_usizes()?;
-    let original_degrees = r.get_usizes()?;
-    let local_graph = r.get_graph()?;
-    r.finish()?;
-
-    check_ascending_ids(&owned, num_global_nodes, "owned list")?;
-    check_ascending_ids(&local_ids, num_global_nodes, "closure list")?;
-    if owned.iter().any(|n| local_ids.binary_search(n).is_err()) {
+    let owned = r.get_id_runs(num_nodes, "owned list")?;
+    if parts == 1 && owned.len() != num_nodes {
+        return Err(bad("a one-part layout must own every node"));
+    }
+    let closure = r.get_id_runs(num_nodes, "closure list")?;
+    if !owned.ids().all(|id| closure.position(id).is_some()) {
         return Err(bad("owned node missing from the partition closure"));
     }
-    if original_degrees.len() != local_ids.len() {
-        return Err(bad(format!(
-            "degree vector has {} entries for a {}-node closure",
-            original_degrees.len(),
-            local_ids.len()
-        )));
-    }
-    if local_graph.num_nodes() != local_ids.len() {
-        return Err(bad(format!(
-            "local graph spans {} nodes but the closure lists {}",
-            local_graph.num_nodes(),
-            local_ids.len()
-        )));
-    }
-    let local_degrees = local_graph.degrees();
-    if local_degrees
-        .iter()
-        .zip(&original_degrees)
-        .any(|(&local, &full)| local > full)
-    {
-        return Err(bad("local degree exceeds the recorded full-graph degree"));
-    }
+    let real_graph = r.get_edges(closure.len())?;
+    let degree_deltas = r.get_degree_deltas(closure.len(), real_graph.num_edges(), num_nodes)?;
+    r.finish()?;
 
+    let quantized = match (qnet, qlayers) {
+        (Some(backbone), Some(rectifier)) => Some(QuantizedModel {
+            backbone,
+            rectifier,
+        }),
+        _ => None,
+    };
     Ok(DecodedVault {
         epoch,
-        num_global_nodes,
         epc_budget,
         cost,
         policy,
         backbone,
         rectifier,
-        quantized: assemble_quantized(qnet, qlayers),
-        real_graph: local_graph,
-        partition: Some(DecodedPartition {
+        quantized,
+        real_graph,
+        partition: VaultPartition {
             part,
             parts,
+            num_global_nodes: num_nodes,
             owned,
-            local_ids,
-            original_degrees,
-        }),
+            closure,
+            degree_deltas,
+        },
     })
-}
-
-/// Rejects id lists that are not strictly ascending within bounds — the
-/// invariant every ownership/closure lookup (binary search) relies on.
-fn check_ascending_ids(ids: &[usize], bound: usize, what: &str) -> Result<(), VaultError> {
-    if ids.iter().any(|&n| n >= bound) {
-        return Err(bad(format!("{what} references a node beyond {bound}")));
-    }
-    if ids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(bad(format!("{what} is not strictly ascending")));
-    }
-    Ok(())
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<(usize, CostModel, OverBudgetPolicy), VaultError> {
@@ -784,14 +747,23 @@ fn decode_config(r: &mut Reader<'_>) -> Result<(usize, CostModel, OverBudgetPoli
     Ok((epc_budget, cost, policy))
 }
 
+/// Decodes the backbone; a GCN backbone's substitute graph must span
+/// the deployment's `num_nodes` corpus rows.
 fn decode_backbone(
     r: &mut Reader<'_>,
+    num_nodes: usize,
     int8: bool,
 ) -> Result<(Backbone, Option<QuantizedBackboneNet>), VaultError> {
     Ok(match r.get_u8()? {
         0 => {
             let kind = decode_substitute_kind(r)?;
             let substitute_graph = r.get_graph()?;
+            if substitute_graph.num_nodes() != num_nodes {
+                return Err(bad(format!(
+                    "substitute graph spans {} nodes for a {num_nodes}-node deployment",
+                    substitute_graph.num_nodes()
+                )));
+            }
             let (input_dim, channels, weights, qweights) = decode_network_params(r, int8)?;
             let mut network = GcnNetwork::new(input_dim, &channels, 0)?;
             for (layer, (weight, bias)) in network.layers_mut().iter_mut().zip(weights) {
@@ -852,6 +824,11 @@ fn decode_backbone(
     })
 }
 
+/// One rectifier layer's decoded parameters: the values in
+/// `ConvLayer::params` order and, at int8, the stored weight codes
+/// (whose dequantized form is `values[0]`).
+type LayerParams = (Option<QuantizedMatrix>, Vec<DenseMatrix>);
+
 fn decode_rectifier(
     r: &mut Reader<'_>,
     backbone: &Backbone,
@@ -877,6 +854,38 @@ fn decode_rectifier(
     }
     let channels = r.get_usizes()?;
     let taps = r.get_usizes()?;
+    if channels.is_empty() || channels.contains(&0) {
+        return Err(bad("rectifier layer widths must be positive"));
+    }
+    // Read every layer's parameters before the architecture allocates
+    // from the declared widths, and trust each width only as far as the
+    // weight read for its layer backs it.
+    let mut layers: Vec<LayerParams> = Vec::new();
+    for (i, &out_dim) in channels.iter().enumerate() {
+        let count = r.get_usize()?;
+        if count == 0 {
+            return Err(bad("rectifier layer carries no parameters"));
+        }
+        let qweight = if int8 { Some(r.get_qmatrix()?) } else { None };
+        let mut values = vec![match &qweight {
+            Some(qw) => qw.dequantize(),
+            None => r.get_matrix()?,
+        }];
+        while values.len() < count {
+            values.push(r.get_matrix()?);
+        }
+        let in_dim = Rectifier::input_dim(kind, &channels, &backbone_dims, i);
+        if in_dim
+            .checked_mul(out_dim)
+            .is_none_or(|n| n > values[0].len())
+        {
+            return Err(bad(format!(
+                "rectifier layer {i} declares {in_dim}×{out_dim} but its weight holds {} values",
+                values[0].len()
+            )));
+        }
+        layers.push((qweight, values));
+    }
     let mut rectifier = Rectifier::new_with_conv(kind, conv, &channels, &backbone_dims, 0)?;
     if rectifier.tap_indices() != taps {
         return Err(bad(
@@ -884,65 +893,44 @@ fn decode_rectifier(
         ));
     }
     let mut qlayers = int8.then(Vec::new);
-    for layer in rectifier.layers_mut() {
-        let count = r.get_usize()?;
+    for (layer, (qweight, values)) in rectifier.layers_mut().iter_mut().zip(layers) {
         let mut params = layer.params_mut();
-        if count != params.len() {
+        if values.len() != params.len() {
             return Err(bad(format!(
-                "rectifier layer has {} parameters, payload carries {count}",
-                params.len()
+                "rectifier layer has {} parameters, payload carries {}",
+                params.len(),
+                values.len()
             )));
         }
-        match &mut qlayers {
-            None => {
-                for p in params.iter_mut() {
-                    let value = r.get_matrix()?;
-                    restore_value(p, value, "rectifier parameter")?;
-                }
-            }
-            Some(qs) => {
-                // Param 0 is the quantized projection weight; the f32
-                // layer gets its dequantized form, the quantized layer
-                // the verbatim codes. The remaining f32 params (bias,
-                // attention vectors) are shared by both.
-                let mut qweight = None;
-                let mut rest = Vec::with_capacity(count.saturating_sub(1));
-                for (i, p) in params.iter_mut().enumerate() {
-                    if i == 0 {
-                        let qw = r.get_qmatrix()?;
-                        restore_value(p, qw.dequantize(), "rectifier weight")?;
-                        qweight = Some(qw);
-                    } else {
-                        let value = r.get_matrix()?;
-                        restore_value(p, value.clone(), "rectifier parameter")?;
-                        rest.push(value);
-                    }
-                }
-                let qw = qweight.ok_or_else(|| bad("rectifier layer has no parameters"))?;
-                // `count == params.len()` already pinned `rest` to the
-                // architecture's parameter list for this conv kind.
-                let q = match conv {
-                    ConvKind::Gcn => {
-                        QuantizedConvLayer::Gcn(QuantizedGcnLayer::from_parts(qw, rest.remove(0))?)
-                    }
-                    ConvKind::Sage => QuantizedConvLayer::Sage(QuantizedSageLayer::from_parts(
-                        qw,
-                        rest.remove(0),
-                    )?),
-                    ConvKind::Gat => {
-                        let bias = rest.pop().ok_or_else(|| bad("gat layer missing bias"))?;
-                        let attn_dst = rest.pop().ok_or_else(|| bad("gat layer missing attn"))?;
-                        let attn_src = rest.pop().ok_or_else(|| bad("gat layer missing attn"))?;
-                        QuantizedConvLayer::Gat(QuantizedGatLayer::from_parts(
-                            qw, attn_src, attn_dst, bias,
-                        )?)
-                    }
-                };
-                qs.push(q);
-            }
+        if let (Some(qs), Some(qw)) = (&mut qlayers, qweight) {
+            qs.push(quantized_conv(conv, qw, &values[1..])?);
+        }
+        for (p, value) in params.iter_mut().zip(values) {
+            restore_value(p, value, "rectifier parameter")?;
         }
     }
     Ok((rectifier, qlayers))
+}
+
+/// Pairs a layer's stored weight codes with its f32 parameters after
+/// the weight (bias, and for GAT the attention vectors first).
+fn quantized_conv(
+    conv: ConvKind,
+    qw: QuantizedMatrix,
+    rest: &[DenseMatrix],
+) -> Result<QuantizedConvLayer, VaultError> {
+    Ok(match (conv, rest) {
+        (ConvKind::Gcn, [bias]) => {
+            QuantizedConvLayer::Gcn(QuantizedGcnLayer::from_parts(qw, bias.clone())?)
+        }
+        (ConvKind::Sage, [bias]) => {
+            QuantizedConvLayer::Sage(QuantizedSageLayer::from_parts(qw, bias.clone())?)
+        }
+        (ConvKind::Gat, [attn_src, attn_dst, bias]) => QuantizedConvLayer::Gat(
+            QuantizedGatLayer::from_parts(qw, attn_src.clone(), attn_dst.clone(), bias.clone())?,
+        ),
+        _ => return Err(bad("rectifier layer parameters do not fit its convolution")),
+    })
 }
 
 fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultError> {
@@ -962,7 +950,8 @@ fn decode_substitute_kind(r: &mut Reader<'_>) -> Result<SubstituteKind, VaultErr
 /// per-layer `(weight, bias)` value matrices. For an int8 payload the
 /// weight slot holds a quantized matrix: the returned f32 weight is its
 /// dequantized form and the verbatim codes come back in the fourth
-/// element.
+/// element. Every declared width is checked against the matrices read
+/// for it, so the caller can allocate the network from them.
 #[allow(clippy::type_complexity)]
 fn decode_network_params(
     r: &mut Reader<'_>,
@@ -993,7 +982,6 @@ fn decode_network_params(
                 "layer input width {in_dim} does not chain from previous width {prev}"
             )));
         }
-        channels.push(out_dim);
         let weight = match &mut qweights {
             Some(qs) => {
                 let qw = r.get_qmatrix()?;
@@ -1003,7 +991,16 @@ fn decode_network_params(
             }
             None => r.get_matrix()?,
         };
-        weights.push((weight, r.get_matrix()?));
+        let bias = r.get_matrix()?;
+        if weight.shape() != (in_dim, out_dim) || bias.shape() != (1, out_dim) {
+            return Err(bad(format!(
+                "layer declares {in_dim}×{out_dim} but carries a {:?} weight and a {:?} bias",
+                weight.shape(),
+                bias.shape()
+            )));
+        }
+        channels.push(out_dim);
+        weights.push((weight, bias));
         prev = out_dim;
     }
     Ok((input_dim, channels, weights, qweights))
@@ -1247,6 +1244,7 @@ mod tests {
         let forged = VaultSnapshot::from_parts(
             snapshot.epoch() + 1,
             snapshot.num_nodes(),
+            snapshot.partition(),
             snapshot.sealed().clone(),
         );
         assert!(matches!(
@@ -1259,56 +1257,13 @@ mod tests {
         let garbage = VaultSnapshot::from_parts(
             snapshot.epoch(),
             snapshot.num_nodes(),
+            snapshot.partition(),
             Sealed::seal(key.derive("vault-snapshot"), &[1, 2, 3, 4, 5, 6, 7, 8, 9]),
         );
         assert!(matches!(
             Vault::restore(&garbage, key),
             Err(VaultError::Snapshot { .. })
         ));
-    }
-
-    #[test]
-    fn decode_rejects_truncation_at_every_prefix() {
-        let graph = random_graph(4, 500, 3);
-        let key = SealKey(13);
-        let (vault, _) = trained_vault(
-            4,
-            RectifierKind::Series,
-            ConvKind::Gcn,
-            SubstituteKind::Knn { k: 1 },
-            &graph,
-            6,
-            key,
-        );
-        let payload = encode(
-            vault.epoch(),
-            tee::SGX_EPC_BYTES,
-            &tee::CostModel::default(),
-            OverBudgetPolicy::Fail,
-            vault.backbone(),
-            // Round-trip decode to regain rectifier/graph access.
-            &decode(&payload_of(&vault)).unwrap().rectifier,
-            None,
-            &decode(&payload_of(&vault)).unwrap().real_graph,
-        );
-        assert!(decode(&payload).is_ok());
-        // Any strict prefix must fail cleanly.
-        for len in (0..payload.len()).step_by(41) {
-            assert!(
-                decode(&payload[..len]).is_err(),
-                "prefix of {len} bytes must not decode"
-            );
-        }
-    }
-
-    /// Unsealed payload of a vault's own snapshot (test helper).
-    fn payload_of(vault: &Vault) -> Vec<u8> {
-        vault
-            .snapshot()
-            .sealed()
-            .unseal(SealKey(13).derive("vault-snapshot"))
-            .unwrap()
-            .to_vec()
     }
 
     proptest! {
@@ -1336,18 +1291,17 @@ mod tests {
             for (part, snap) in snaps.iter().enumerate() {
                 prop_assert_eq!(snap.epoch(), vault.epoch());
                 prop_assert_eq!(snap.num_nodes(), n, "partition snapshots report the global count");
-                let stamp = snap.partition().expect("partition snapshots carry their stamp");
+                let stamp = snap.partition();
                 prop_assert_eq!(stamp.part(), part);
                 prop_assert_eq!(stamp.parts(), nparts);
-                // The single-partition path seals the identical bytes.
-                prop_assert_eq!(&vault.snapshot_partition(&spec, part).unwrap(), snap);
 
                 let mut partial = Vault::restore(snap, key).unwrap();
                 prop_assert_eq!(partial.epoch(), vault.epoch());
                 prop_assert_eq!(partial.num_nodes(), n);
-                prop_assert_eq!(partial.partition_info(), Some((part, nparts)));
-                let owned: Vec<usize> =
-                    partial.owned_nodes().expect("partial vault").to_vec();
+                prop_assert_eq!(partial.partition_info(), (part, nparts));
+                // A partition replica re-seals its own image byte for byte.
+                prop_assert_eq!(&partial.snapshot(), snap);
+                let owned: Vec<usize> = partial.owned_nodes().to_vec();
                 prop_assert!(owned.iter().all(|&o| spec.owner_of(o) == part));
 
                 // Owned nodes answer bit-identically to the full vault,
@@ -1394,7 +1348,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_snapshot_rejects_truncation_and_forged_stamps() {
+    fn partition_snapshot_rejects_forged_stamps() {
         use graph::partition::PartitionSpec;
         let graph = random_graph(6, 500, 11);
         let key = SealKey(13);
@@ -1408,27 +1362,13 @@ mod tests {
             key,
         );
         let spec = PartitionSpec::block(6, 2).unwrap();
-        let snap = vault.snapshot_partition(&spec, 0).unwrap();
-        let stamp = snap.partition().unwrap();
-
-        // Every strict prefix of the partition payload fails cleanly.
-        let payload = snap
-            .sealed()
-            .unseal(key.derive("vault-snapshot"))
-            .unwrap()
-            .to_vec();
-        assert!(decode(&payload).is_ok());
-        for len in (0..payload.len()).step_by(37) {
-            assert!(
-                decode(&payload[..len]).is_err(),
-                "prefix of {len} bytes must not decode"
-            );
-        }
+        let snap = vault.partition_snapshots(&spec).unwrap().swap_remove(0);
+        let stamp = snap.partition();
 
         // Clear-metadata stamp disagreeing with the sealed payload is
         // caught: wrong part index, wrong epoch, and a stamp claiming
         // the payload is a full snapshot (or vice versa).
-        let forged_part = VaultSnapshot::from_partition_parts(
+        let forged_part = VaultSnapshot::from_parts(
             snap.epoch(),
             snap.num_nodes(),
             SnapshotPartition::new(1, stamp.parts()),
@@ -1438,7 +1378,7 @@ mod tests {
             Vault::restore(&forged_part, key),
             Err(VaultError::Snapshot { .. })
         ));
-        let forged_epoch = VaultSnapshot::from_partition_parts(
+        let forged_epoch = VaultSnapshot::from_parts(
             snap.epoch() + 1,
             snap.num_nodes(),
             SnapshotPartition::new(stamp.part(), stamp.parts()),
@@ -1448,14 +1388,18 @@ mod tests {
             Vault::restore(&forged_epoch, key),
             Err(VaultError::Snapshot { .. })
         ));
-        let unstamped =
-            VaultSnapshot::from_parts(snap.epoch(), snap.num_nodes(), snap.sealed().clone());
+        let as_full = VaultSnapshot::from_parts(
+            snap.epoch(),
+            snap.num_nodes(),
+            SnapshotPartition::new(0, 1),
+            snap.sealed().clone(),
+        );
         assert!(matches!(
-            Vault::restore(&unstamped, key),
+            Vault::restore(&as_full, key),
             Err(VaultError::Snapshot { .. })
         ));
         let full = vault.snapshot();
-        let full_as_partition = VaultSnapshot::from_partition_parts(
+        let full_as_partition = VaultSnapshot::from_parts(
             full.epoch(),
             full.num_nodes(),
             SnapshotPartition::new(0, 2),
@@ -1498,7 +1442,7 @@ mod tests {
                 );
                 let mut partial = Vault::restore(snap, key).unwrap();
                 assert_eq!(partial.precision(), crate::Precision::Int8);
-                let owned = partial.owned_nodes().unwrap().to_vec();
+                let owned = partial.owned_nodes().to_vec();
                 if owned.is_empty() {
                     continue;
                 }
@@ -1512,35 +1456,6 @@ mod tests {
                 // The partition re-seals its own image byte-identically.
                 assert_eq!(&partial.snapshot(), snap, "{conv:?}");
             }
-        }
-    }
-
-    #[test]
-    fn int8_payload_rejects_truncation_at_every_prefix() {
-        let graph = random_graph(5, 500, 9);
-        let key = SealKey(41);
-        let (mut vault, _) = trained_vault(
-            5,
-            RectifierKind::Series,
-            ConvKind::Gat,
-            SubstituteKind::Knn { k: 1 },
-            &graph,
-            4,
-            key,
-        );
-        vault.set_precision(crate::Precision::Int8).unwrap();
-        let payload = vault
-            .snapshot()
-            .sealed()
-            .unseal(key.derive("vault-snapshot"))
-            .unwrap()
-            .to_vec();
-        assert!(decode(&payload).is_ok());
-        for len in (0..payload.len()).step_by(31) {
-            assert!(
-                decode(&payload[..len]).is_err(),
-                "prefix of {len} bytes must not decode"
-            );
         }
     }
 
@@ -1577,13 +1492,132 @@ mod tests {
             // partial deployment (the serving runtime's crash path).
             let partial = Vault::restore(snap, key).unwrap();
             let mut recovered = partial.recovery_handle().restore().unwrap();
-            assert_eq!(recovered.partition_info(), Some((part, 4)));
-            let owned = partial.owned_nodes().unwrap().to_vec();
+            assert_eq!(recovered.partition_info(), (part, 4));
+            let owned = partial.owned_nodes().to_vec();
             let mut session = recovered.open_session();
             let (labels, _) = recovered.infer_batch(&mut session, &x, &owned).unwrap();
             for (label, &o) in labels.iter().zip(&owned) {
                 assert_eq!(*label, full_labels[o]);
             }
+        }
+    }
+
+    #[test]
+    fn a_full_vault_is_partition_zero_of_one() {
+        use graph::partition::PartitionSpec;
+        for (conv, substitute) in [
+            (ConvKind::Gcn, SubstituteKind::Knn { k: 1 }),
+            (ConvKind::Gat, SubstituteKind::Dnn),
+        ] {
+            let graph = random_graph(7, 400, 5);
+            let key = SealKey(19);
+            let (mut vault, x) =
+                trained_vault(7, RectifierKind::Parallel, conv, substitute, &graph, 3, key);
+            let one_way = PartitionSpec::block(7, 1).unwrap();
+            for precision in crate::Precision::ALL {
+                vault.set_precision(precision).unwrap();
+                let full = vault.snapshot();
+                assert_eq!(
+                    vault.partition_snapshots(&one_way).unwrap()[0],
+                    full,
+                    "{conv:?} {precision:?}: a 1-way partitioning seals the full snapshot's bytes"
+                );
+                assert_eq!(full.partition(), SnapshotPartition::new(0, 1));
+                let mut restored = Vault::restore(&full, key).unwrap();
+                assert_eq!(restored.partition_info(), (0, 1));
+                assert_eq!(restored.owned_nodes(), &[0, 1, 2, 3, 4, 5, 6]);
+                assert_eq!(restored.infer(&x).unwrap().0, vault.infer(&x).unwrap().0);
+            }
+        }
+    }
+
+    /// Unsealed payloads of every layout: f32 and int8, full vault and
+    /// both halves of a 2-way partitioning, over a GCN backbone with a
+    /// GAT rectifier and an MLP backbone with a SAGE rectifier.
+    fn valid_payloads() -> &'static [Vec<u8>] {
+        use graph::partition::PartitionSpec;
+        static PAYLOADS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        PAYLOADS.get_or_init(|| {
+            let key = SealKey(43);
+            let graph = random_graph(6, 500, 23);
+            let spec = PartitionSpec::block(6, 2).unwrap();
+            let mut out = Vec::new();
+            for (kind, conv, substitute) in [
+                (
+                    RectifierKind::Cascaded,
+                    ConvKind::Gat,
+                    SubstituteKind::Knn { k: 1 },
+                ),
+                (RectifierKind::Series, ConvKind::Sage, SubstituteKind::Dnn),
+            ] {
+                let (mut vault, _) = trained_vault(6, kind, conv, substitute, &graph, 8, key);
+                for precision in crate::Precision::ALL {
+                    vault.set_precision(precision).unwrap();
+                    let snaps = std::iter::once(vault.snapshot())
+                        .chain(vault.partition_snapshots(&spec).unwrap());
+                    for snap in snaps {
+                        let payload = snap.sealed().unseal(key.derive("vault-snapshot"));
+                        out.push(payload.unwrap().to_vec());
+                    }
+                }
+            }
+            out
+        })
+    }
+
+    /// Decodes untrusted bytes: a payload either decodes or fails with
+    /// a typed snapshot error. A panic fails the calling test.
+    fn decodes(bytes: &[u8]) -> bool {
+        match decode(bytes) {
+            Ok(_) => true,
+            Err(VaultError::Snapshot { .. }) => false,
+            Err(e) => panic!("decode failed with a non-snapshot error: {e:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_fails_typed_on_every_prefix_flip_and_inflated_field() {
+        for payload in valid_payloads() {
+            assert!(decodes(payload));
+            for len in 0..payload.len() {
+                assert!(!decodes(&payload[..len]), "a {len}-byte prefix decoded");
+            }
+            for i in 0..payload.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut flipped = payload.clone();
+                    flipped[i] ^= mask;
+                    decodes(&flipped);
+                }
+                // A u64 length or width field blown up in place, and a
+                // varint one spliced in.
+                for big in [1u64 << 33, 1 << 62, u64::MAX] {
+                    if i + 8 <= payload.len() {
+                        let mut inflated = payload.clone();
+                        inflated[i..i + 8].copy_from_slice(&big.to_le_bytes());
+                        decodes(&inflated);
+                    }
+                }
+                let mut spliced = payload.clone();
+                spliced.splice(i..i, [0x80, 0x80, 0x80, 0x80, 0x20]);
+                decodes(&spliced);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn decode_fails_typed_on_random_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            which in any::<usize>(),
+            cut in any::<usize>(),
+        ) {
+            decodes(&bytes);
+            // Random bytes after a valid prefix get past the magic.
+            let payloads = valid_payloads();
+            let payload = &payloads[which % payloads.len()];
+            let mut tail = payload[..cut % payload.len()].to_vec();
+            tail.extend_from_slice(&bytes);
+            decodes(&tail);
         }
     }
 }

@@ -5,6 +5,7 @@ use graph::{normalization, Graph};
 use linalg::DenseMatrix;
 use nn::QuantizedConvLayer;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tee::{
@@ -137,9 +138,10 @@ pub struct Vault {
     next_session: u64,
     epc_budget: usize,
     policy: OverBudgetPolicy,
-    /// `Some` on a partition replica: `real_graph` is then the induced
-    /// local closure and queries are answerable only for owned nodes.
-    partition: Option<VaultPartition>,
+    /// Which part of the private graph this vault holds: `real_graph`
+    /// is the graph induced on its closure, and queries are answerable
+    /// only for owned nodes. A full deployment is partition 0 of 1.
+    partition: VaultPartition,
     // --- enclave-private state (never exposed by any accessor) ---
     rectifier: Rectifier,
     /// `Some` when serving int8: the quantized weight mirror.
@@ -170,32 +172,134 @@ struct ResidentTaps {
     alloc: AllocationId,
 }
 
-/// Ownership maps of a partition replica. `part`/`parts` are public
-/// routing metadata; the closure (`local_ids`, whose tail reveals halo
-/// membership and therefore cross-partition adjacency) stays enclave-
-/// private like the rest of the graph state.
+/// Ownership maps of a vault: partition `part` of `parts`. A full
+/// deployment is partition 0 of 1, owning every node, with the whole
+/// graph as its closure. `part`/`parts` are public routing metadata;
+/// the closure (whose halo reveals cross-partition adjacency) stays
+/// enclave-private like the rest of the graph state.
+///
+/// Id sets are kept as runs and degrees only where they differ from
+/// the local graph's, so a full vault stores nothing per node. (A
+/// restored vault's long-lived per-node buffers land among the serving
+/// thread's freed scratch and keep the allocator from handing that
+/// memory back to the OS.)
 #[derive(Debug, Clone)]
-struct VaultPartition {
-    part: usize,
-    parts: usize,
-    num_global_nodes: usize,
-    /// Global ids owned by this partition, strictly ascending.
-    owned: Vec<usize>,
-    /// Global ids of the closure (`owned ∪ halo`), strictly ascending;
-    /// the index in this list is the local id in `real_graph`.
-    local_ids: Vec<usize>,
-    /// Full-graph degree per local id — the normalization degrees that
-    /// make local aggregation bit-identical to the full graph.
-    original_degrees: Vec<usize>,
+pub(crate) struct VaultPartition {
+    pub(crate) part: usize,
+    pub(crate) parts: usize,
+    pub(crate) num_global_nodes: usize,
+    /// Global ids owned by this partition.
+    pub(crate) owned: IdRuns,
+    /// Global ids of the closure (`owned ∪ halo`); an id's position in
+    /// the set is its local id in `real_graph`.
+    pub(crate) closure: IdRuns,
+    /// `(local id, full-graph degree − local degree)` wherever the two
+    /// differ (the closure's rim), by ascending local id. The full-graph
+    /// degrees make local normalization bit-identical to the full graph.
+    pub(crate) degree_deltas: Vec<(usize, usize)>,
 }
 
 impl VaultPartition {
-    fn local_id(&self, global: usize) -> Option<usize> {
-        self.local_ids.binary_search(&global).ok()
+    /// Partition 0 of 1 over an `n`-node graph: every node owned, the
+    /// whole graph its closure.
+    fn whole(n: usize) -> Self {
+        let mut all = IdRuns::default();
+        all.push(0..n);
+        Self {
+            part: 0,
+            parts: 1,
+            num_global_nodes: n,
+            owned: all.clone(),
+            closure: all,
+            degree_deltas: Vec::new(),
+        }
     }
 
-    fn owns(&self, global: usize) -> bool {
-        self.owned.binary_search(&global).is_ok()
+    /// The maps of one extracted partition of a `num_global_nodes`-node
+    /// graph.
+    fn of(gp: &graph::partition::GraphPartition, num_global_nodes: usize) -> Self {
+        let degree_deltas = gp
+            .graph()
+            .degrees()
+            .into_iter()
+            .zip(gp.original_degrees())
+            .enumerate()
+            .filter(|&(_, (local, &full))| local != full)
+            .map(|(i, (local, &full))| (i, full - local))
+            .collect();
+        Self {
+            part: gp.part(),
+            parts: gp.num_parts(),
+            num_global_nodes,
+            owned: IdRuns::from_ids(gp.owned()),
+            closure: IdRuns::from_ids(gp.local_ids()),
+            degree_deltas,
+        }
+    }
+
+    /// Full-graph degree of every closure node, given the graph induced
+    /// on the closure.
+    fn degrees(&self, local_graph: &Graph) -> Vec<usize> {
+        let mut degrees = local_graph.degrees();
+        for &(i, delta) in &self.degree_deltas {
+            degrees[i] += delta;
+        }
+        degrees
+    }
+}
+
+/// An ascending set of node ids stored as runs of consecutive ids.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct IdRuns {
+    runs: Vec<Range<usize>>,
+    /// `offsets[i]`: how many ids precede run `i`.
+    offsets: Vec<usize>,
+    len: usize,
+}
+
+impl IdRuns {
+    /// The set of a strictly ascending id list.
+    pub(crate) fn from_ids(ids: &[usize]) -> Self {
+        let mut set = Self::default();
+        for &id in ids {
+            set.push(id..id + 1);
+        }
+        set
+    }
+
+    /// Adds `run`, which must lie above every id already in the set; a
+    /// run adjoining the last one extends it.
+    pub(crate) fn push(&mut self, run: Range<usize>) {
+        match self.runs.last_mut() {
+            _ if run.is_empty() => return,
+            Some(last) if last.end == run.start => last.end = run.end,
+            _ => {
+                self.offsets.push(self.len);
+                self.runs.push(run.clone());
+            }
+        }
+        self.len += run.len();
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The maximal runs, ascending.
+    pub(crate) fn runs(&self) -> &[Range<usize>] {
+        &self.runs
+    }
+
+    /// The ids, ascending.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs.iter().flat_map(Clone::clone)
+    }
+
+    /// `id`'s position in the set, if present.
+    pub(crate) fn position(&self, id: usize) -> Option<usize> {
+        let i = self.runs.partition_point(|r| r.end <= id);
+        let run = self.runs.get(i)?;
+        run.contains(&id).then(|| self.offsets[i] + id - run.start)
     }
 }
 
@@ -221,18 +325,20 @@ impl Vault {
         seal_key: SealKey,
     ) -> Result<Vault, VaultError> {
         let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
+        let partition = VaultPartition::whole(real_graph.num_nodes());
         Self::deploy_with_epoch(
-            backbone, rectifier, real_graph, epc_budget, cost, policy, seal_key, epoch, None, None,
+            backbone, rectifier, real_graph, epc_budget, cost, policy, seal_key, epoch, partition,
+            None,
         )
     }
 
     /// Deployment body shared by [`Vault::deploy`] (fresh epoch) and
     /// [`Vault::restore`] (the snapshot's epoch, so replicas of one
-    /// snapshot share a cache identity). With `partition`, `real_graph`
-    /// is the partition's induced closure and normalization uses the
-    /// recorded full-graph degrees — the resident set (COO, degree
-    /// vector, CSR) shrinks to the closure size, which is the memory
-    /// win of partitioned sharding.
+    /// snapshot share a cache identity). `real_graph` is the graph
+    /// induced on `partition`'s closure and normalization uses the
+    /// recorded full-graph degrees — on a partition replica the
+    /// resident set (COO, degree vector, CSR) shrinks to the closure
+    /// size, which is the memory win of partitioned sharding.
     #[allow(clippy::too_many_arguments)]
     fn deploy_with_epoch(
         backbone: Backbone,
@@ -243,7 +349,7 @@ impl Vault {
         policy: OverBudgetPolicy,
         seal_key: SealKey,
         epoch: u64,
-        partition: Option<VaultPartition>,
+        partition: VaultPartition,
         quantized: Option<QuantizedModel>,
     ) -> Result<Vault, VaultError> {
         let mut enclave = EnclaveSim::new(epc_budget, cost, policy);
@@ -260,11 +366,8 @@ impl Vault {
             "degree vector",
             real_graph.num_nodes() * std::mem::size_of::<u32>(),
         )?;
-        let degrees = match &partition {
-            Some(p) => p.original_degrees.clone(),
-            None => real_graph.degrees(),
-        };
-        let real_adj = normalization::gcn_normalize_with_degrees(real_graph, &degrees);
+        let real_adj =
+            normalization::gcn_normalize_with_degrees(real_graph, &partition.degrees(real_graph));
         enclave.alloc("normalized adjacency (CSR)", real_adj.nbytes())?;
 
         // Seal deployment artifacts (simulated SGX sealing).
@@ -311,7 +414,9 @@ impl Vault {
     /// backbone (weights plus substitute graph), the rectifier weights
     /// and tap-set, the private real graph, and the enclave
     /// configuration, sealed under this deployment's seal key (purpose
-    /// `"vault-snapshot"`).
+    /// `"vault-snapshot"`). A partition replica seals its own part of
+    /// the graph, so its recovery handle restores the same partial
+    /// vault.
     ///
     /// Encoding is deterministic — snapshotting the same vault twice
     /// yields identical bytes — and [`Vault::restore`] rebuilds a
@@ -333,103 +438,35 @@ impl Vault {
     /// # }
     /// ```
     pub fn snapshot(&self) -> VaultSnapshot {
-        match &self.partition {
-            None => {
-                let payload = snapshot::encode(
-                    self.epoch,
-                    self.epc_budget,
-                    self.enclave.cost_model(),
-                    self.policy,
-                    &self.backbone,
-                    &self.rectifier,
-                    self.quantized.as_ref(),
-                    &self.real_graph,
-                );
-                let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-                VaultSnapshot::from_parts(self.epoch, self.real_graph.num_nodes(), sealed)
-            }
-            // A partition replica re-snapshots as a partition image, so
-            // its recovery handle restores the same partial vault.
-            Some(p) => {
-                let payload = snapshot::encode_partition(
-                    self.epoch,
-                    self.epc_budget,
-                    self.enclave.cost_model(),
-                    self.policy,
-                    &self.backbone,
-                    &self.rectifier,
-                    self.quantized.as_ref(),
-                    &snapshot::PartitionParts {
-                        part: p.part,
-                        parts: p.parts,
-                        num_global_nodes: p.num_global_nodes,
-                        owned: &p.owned,
-                        local_ids: &p.local_ids,
-                        original_degrees: &p.original_degrees,
-                        local_graph: &self.real_graph,
-                    },
-                );
-                let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-                VaultSnapshot::from_partition_parts(
-                    self.epoch,
-                    p.num_global_nodes,
-                    crate::SnapshotPartition::new(p.part, p.parts),
-                    sealed,
-                )
-            }
-        }
-    }
-
-    /// Seals *one partition* of this deployment: the shared backbone
-    /// and rectifier weights plus only partition `part`'s private graph
-    /// state — its owned nodes, their halo closure at the rectifier's
-    /// receptive-field depth, the full-graph degree vector for the
-    /// closure, and the induced local COO. Restoring the result builds
-    /// a *partial* vault that answers exactly the owned nodes,
-    /// bit-identically to this vault.
-    ///
-    /// The sealed payload is strictly smaller than a full snapshot
-    /// whenever the closure misses part of the graph, which is the
-    /// point: N partitioned shards hold ~1/N of the private state each
-    /// instead of N copies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VaultError::InvalidConfig`] when called on a vault
-    /// that is itself a partition replica, and
-    /// [`VaultError::Graph`] when `spec` does not match this
-    /// deployment's node count or `part` is out of range.
-    pub fn snapshot_partition(
-        &self,
-        spec: &PartitionSpec,
-        part: usize,
-    ) -> Result<VaultSnapshot, VaultError> {
-        if self.partition.is_some() {
-            return Err(VaultError::InvalidConfig {
-                reason: "cannot re-partition a partition replica; partition the full vault".into(),
-            });
-        }
-        let gp = graph::partition::partition_one(
-            &self.real_graph,
-            spec,
-            part,
-            self.rectifier.num_layers(),
-        )?;
-        Ok(self.seal_graph_partition(&gp))
+        self.seal(&self.partition, &self.real_graph)
     }
 
     /// Seals every partition of `spec` in one pass (the full-graph
     /// adjacency scan runs once, not once per partition). Element `i`
-    /// is partition `i`'s snapshot.
+    /// is partition `i`'s snapshot: the shared backbone and rectifier
+    /// weights plus only that partition's private graph state — its
+    /// owned nodes, their halo closure at the rectifier's
+    /// receptive-field depth, the closure's full-graph degrees, and the
+    /// induced local COO. Restoring one builds a *partial* vault that
+    /// answers exactly its owned nodes, bit-identically to this vault.
+    ///
+    /// A partition's sealed payload is strictly smaller than a full
+    /// snapshot whenever its closure misses part of the graph, which is
+    /// the point: N partitioned shards hold ~1/N of the private state
+    /// each instead of N copies. A 1-way spec yields exactly
+    /// [`Vault::snapshot`]'s bytes.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Vault::snapshot_partition`].
+    /// Returns [`VaultError::InvalidConfig`] when called on a vault
+    /// that is itself one of several partitions, and
+    /// [`VaultError::Graph`] when `spec` does not match this
+    /// deployment's node count.
     pub fn partition_snapshots(
         &self,
         spec: &PartitionSpec,
     ) -> Result<Vec<VaultSnapshot>, VaultError> {
-        if self.partition.is_some() {
+        if self.partition.parts > 1 {
             return Err(VaultError::InvalidConfig {
                 reason: "cannot re-partition a partition replica; partition the full vault".into(),
             });
@@ -438,7 +475,7 @@ impl Vault {
             graph::partition::partition(&self.real_graph, spec, self.rectifier.num_layers())?;
         Ok(parts
             .iter()
-            .map(|gp| self.seal_graph_partition(gp))
+            .map(|gp| self.seal(&VaultPartition::of(gp, self.num_nodes()), gp.graph()))
             .collect())
     }
 
@@ -448,7 +485,7 @@ impl Vault {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Vault::snapshot_partition`], plus
+    /// Same conditions as [`Vault::partition_snapshots`], plus
     /// [`Vault::restore`] failures on the rebuild.
     pub fn spawn_partitions(&self, spec: &PartitionSpec) -> Result<Vec<Vault>, VaultError> {
         self.partition_snapshots(spec)?
@@ -457,10 +494,10 @@ impl Vault {
             .collect()
     }
 
-    /// Encodes and seals one extracted partition under this vault's
-    /// deployment key.
-    fn seal_graph_partition(&self, gp: &graph::partition::GraphPartition) -> VaultSnapshot {
-        let payload = snapshot::encode_partition(
+    /// Encodes and seals `partition` of this deployment, whose closure
+    /// induces `local_graph`, under this vault's deployment key.
+    fn seal(&self, partition: &VaultPartition, local_graph: &Graph) -> VaultSnapshot {
+        let payload = snapshot::encode(
             self.epoch,
             self.epc_budget,
             self.enclave.cost_model(),
@@ -468,21 +505,14 @@ impl Vault {
             &self.backbone,
             &self.rectifier,
             self.quantized.as_ref(),
-            &snapshot::PartitionParts {
-                part: gp.part(),
-                parts: gp.num_parts(),
-                num_global_nodes: self.real_graph.num_nodes(),
-                owned: gp.owned(),
-                local_ids: gp.local_ids(),
-                original_degrees: gp.original_degrees(),
-                local_graph: gp.graph(),
-            },
+            partition,
+            local_graph,
         );
         let sealed = Sealed::seal(self.seal_key.derive("vault-snapshot"), &payload);
-        VaultSnapshot::from_partition_parts(
+        VaultSnapshot::from_parts(
             self.epoch,
-            self.real_graph.num_nodes(),
-            crate::SnapshotPartition::new(gp.part(), gp.num_parts()),
+            partition.num_global_nodes,
+            crate::SnapshotPartition::new(partition.part, partition.parts),
             sealed,
         )
     }
@@ -509,32 +539,18 @@ impl Vault {
             .sealed()
             .unseal(seal_key.derive("vault-snapshot"))?;
         let decoded = snapshot::decode(&payload)?;
-        if decoded.epoch != snapshot.epoch() || decoded.num_global_nodes != snapshot.num_nodes() {
+        // The clear metadata must agree with the sealed payload: a
+        // partition image relabeled as another partition (or as a full
+        // replica) is a forgery, not a routing mistake.
+        let p = &decoded.partition;
+        if decoded.epoch != snapshot.epoch()
+            || p.num_global_nodes != snapshot.num_nodes()
+            || crate::SnapshotPartition::new(p.part, p.parts) != snapshot.partition()
+        {
             return Err(VaultError::Snapshot {
                 reason: "snapshot metadata disagrees with its sealed payload".into(),
             });
         }
-        // The clear partition stamp must agree with the sealed payload:
-        // a partition image relabeled as another partition (or as a full
-        // replica) is a forgery, not a routing mistake.
-        let sealed_stamp = decoded
-            .partition
-            .as_ref()
-            .map(|p| crate::SnapshotPartition::new(p.part, p.parts));
-        if sealed_stamp != snapshot.partition() {
-            return Err(VaultError::Snapshot {
-                reason: "snapshot partition stamp disagrees with its sealed payload".into(),
-            });
-        }
-        let num_global_nodes = decoded.num_global_nodes;
-        let partition = decoded.partition.map(|p| VaultPartition {
-            part: p.part,
-            parts: p.parts,
-            num_global_nodes,
-            owned: p.owned,
-            local_ids: p.local_ids,
-            original_degrees: p.original_degrees,
-        });
         Self::deploy_with_epoch(
             decoded.backbone,
             decoded.rectifier,
@@ -544,7 +560,7 @@ impl Vault {
             decoded.policy,
             seal_key,
             decoded.epoch,
-            partition,
+            decoded.partition,
             decoded.quantized,
         )
     }
@@ -611,24 +627,21 @@ impl Vault {
     /// id space are shared with every other partition — even though it
     /// only answers its owned subset.
     pub fn num_nodes(&self) -> usize {
-        match &self.partition {
-            Some(p) => p.num_global_nodes,
-            None => self.real_graph.num_nodes(),
-        }
+        self.partition.num_global_nodes
     }
 
-    /// `Some((part, parts))` on a partition replica, `None` on a full
-    /// vault. Public routing metadata.
-    pub fn partition_info(&self) -> Option<(usize, usize)> {
-        self.partition.as_ref().map(|p| (p.part, p.parts))
+    /// `(part, parts)`: which partition of the deployment this vault
+    /// holds. A full vault is `(0, 1)`. Public routing metadata.
+    pub fn partition_info(&self) -> (usize, usize) {
+        (self.partition.part, self.partition.parts)
     }
 
-    /// The global node ids a partition replica answers (`None` on a
-    /// full vault, which answers everything). Ownership is a pure
-    /// function of the node id — not derived from private edges — so
-    /// exposing the list leaks nothing about the private graph.
-    pub fn owned_nodes(&self) -> Option<&[usize]> {
-        self.partition.as_ref().map(|p| p.owned.as_slice())
+    /// The global node ids this vault answers, ascending: every node on
+    /// a full vault. Ownership is a pure function of the node id — not
+    /// derived from private edges — so exposing the list leaks nothing
+    /// about the private graph.
+    pub fn owned_nodes(&self) -> Vec<usize> {
+        self.partition.owned.ids().collect()
     }
 
     /// Bytes currently allocated inside the enclave (resident set plus
@@ -801,13 +814,14 @@ impl Vault {
     /// # Errors
     ///
     /// Returns [`VaultError::InvalidConfig`] on a partition replica
-    /// (it answers only its owned nodes); otherwise the same failures
-    /// as [`Vault::infer_batch`].
+    /// that does not own every node; otherwise the same failures as
+    /// [`Vault::infer_batch`].
     pub fn infer(
         &mut self,
         features: &DenseMatrix,
     ) -> Result<(Vec<ClassLabel>, InferenceReport), VaultError> {
-        if let Some(p) = &self.partition {
+        let p = &self.partition;
+        if p.owned.len() != p.num_global_nodes {
             return Err(VaultError::InvalidConfig {
                 reason: format!(
                     "partition replica {}/{} answers only its owned nodes; \
@@ -1052,7 +1066,7 @@ impl Vault {
     }
 
     /// Validates a query and translates its nodes into rows of the
-    /// resident adjacency (closure-local ids on a partition replica).
+    /// resident adjacency (closure-local ids).
     fn query_rows(
         &self,
         features: &DenseMatrix,
@@ -1083,29 +1097,28 @@ impl Vault {
         // A partition replica answers only its owned nodes; anything
         // else is a routing error the caller must surface, not a silent
         // wrong answer.
-        match &self.partition {
-            None => Ok(nodes.to_vec()),
-            Some(p) => nodes
-                .iter()
-                .map(|&node| {
-                    p.owns(node)
-                        .then(|| p.local_id(node).expect("owned nodes are in the closure"))
-                        .ok_or(VaultError::NotOwned {
-                            node,
-                            part: p.part,
-                            parts: p.parts,
-                        })
-                })
-                .collect(),
-        }
+        let p = &self.partition;
+        nodes
+            .iter()
+            .map(|&node| {
+                p.owned
+                    .position(node)
+                    .and(p.closure.position(node))
+                    .ok_or(VaultError::NotOwned {
+                        node,
+                        part: p.part,
+                        parts: p.parts,
+                    })
+            })
+            .collect()
     }
 
     /// Runs the backbone over `features`, ships the full tap set through
     /// `session`, and decodes it on the enclave side into the backbone's
-    /// slot layout (non-tap slots are zero-row placeholders). A
-    /// partition replica keeps only its closure's rows — halo
-    /// membership is derived from the private edges, so the selection
-    /// happens inside. Returns the decoded slots and the backbone
+    /// slot layout (non-tap slots are zero-row placeholders), keeping
+    /// only the closure's rows — halo membership is derived from the
+    /// private edges, so the selection happens inside. A closure that
+    /// lists every node keeps the decoded taps as they are. Returns the decoded slots and the backbone
     /// outputs, whose release the caller times.
     fn ship_taps(
         &mut self,
@@ -1122,10 +1135,14 @@ impl Vault {
             .iter()
             .map(|e| DenseMatrix::zeros(0, e.cols()))
             .collect();
+        // A closure of every node keeps the decoded taps as they are.
+        let p = &self.partition;
+        let closure_rows: Option<Vec<usize>> =
+            (p.closure.len() != p.num_global_nodes).then(|| p.closure.ids().collect());
         for (&t, payload) in taps.iter().zip(session.drain()) {
             let decoded = codec::decode_dense(&payload)?;
-            slots[t] = match &self.partition {
-                Some(p) => decoded.select_rows(&p.local_ids)?,
+            slots[t] = match &closure_rows {
+                Some(rows) => decoded.select_rows(rows)?,
                 None => decoded,
             };
         }

@@ -136,7 +136,7 @@ proptest! {
                     }
                     for spec in &specs {
                         for mut part in vault.spawn_partitions(spec).unwrap() {
-                            let owned = part.owned_nodes().unwrap().to_vec();
+                            let owned = part.owned_nodes().to_vec();
                             part.bind_features(Arc::clone(&corpus));
                             for batch in &batches {
                                 let local: Vec<usize> = batch

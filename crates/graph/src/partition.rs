@@ -220,48 +220,14 @@ impl GraphPartition {
     }
 }
 
-/// Extracts one partition: the nodes `spec` assigns to `part`, plus a
+/// Partitions `graph` into `spec.num_parts()` partitions: element
+/// `part` holds the nodes `spec` assigns to `part`, plus a
 /// `halo_hops`-hop halo of their out-of-partition neighbours, as an
 /// induced subgraph.
 ///
 /// For an `L`-layer GCN, `halo_hops = L` makes every owned node's
 /// propagation exact; `halo_hops = 1` is the classic edge-cut halo that
 /// covers a single aggregation step.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] when `spec` does not cover
-/// exactly `graph.num_nodes()` nodes or `part >= spec.num_parts()`.
-pub fn partition_one(
-    graph: &Graph,
-    spec: &PartitionSpec,
-    part: usize,
-    halo_hops: usize,
-) -> Result<GraphPartition, GraphError> {
-    if spec.num_nodes() != graph.num_nodes() {
-        return Err(GraphError::InvalidParameter {
-            name: "spec",
-            reason: format!(
-                "spec covers {} nodes but the graph has {}",
-                spec.num_nodes(),
-                graph.num_nodes()
-            ),
-        });
-    }
-    if part >= spec.num_parts() {
-        return Err(GraphError::InvalidParameter {
-            name: "part",
-            reason: format!(
-                "part {part} out of range for {} partitions",
-                spec.num_parts()
-            ),
-        });
-    }
-    extract(&graph.to_adjacency_csr(), spec, part, halo_hops)
-}
-
-/// Partitions `graph` into `spec.num_parts()` partitions, each with a
-/// `halo_hops`-hop halo. See [`partition_one`].
 ///
 /// # Errors
 ///
@@ -394,16 +360,9 @@ mod tests {
     #[test]
     fn spec_graph_mismatch_rejected() {
         let spec = PartitionSpec::block(5, 2).unwrap();
-        assert!(partition(&ring(6), &spec, 1).is_err());
-        assert!(partition_one(&ring(6), &spec, 0, 1).is_err());
-    }
-
-    #[test]
-    fn part_out_of_range_rejected() {
-        let spec = PartitionSpec::block(6, 2).unwrap();
         assert!(matches!(
-            partition_one(&ring(6), &spec, 2, 1),
-            Err(GraphError::InvalidParameter { name: "part", .. })
+            partition(&ring(6), &spec, 1),
+            Err(GraphError::InvalidParameter { name: "spec", .. })
         ));
     }
 
@@ -422,16 +381,6 @@ mod tests {
         assert!(parts[0].graph().has_edge(2, 3)); // local 2-3 edge
         assert_eq!(parts[0].local_id(5), Some(4));
         assert!(parts[0].owns(1) && !parts[0].owns(4));
-    }
-
-    #[test]
-    fn partition_one_matches_partition() {
-        let g = ring(12);
-        let spec = PartitionSpec::hash(12, 3, 7).unwrap();
-        let all = partition(&g, &spec, 2).unwrap();
-        for (p, expected) in all.iter().enumerate() {
-            assert_eq!(&partition_one(&g, &spec, p, 2).unwrap(), expected);
-        }
     }
 
     #[test]

@@ -1028,8 +1028,9 @@ impl ServingEngine {
     /// count than the vault's deployed graph (the corpus and the graph
     /// must describe the same nodes — catching the mismatch here keeps
     /// admission validation aligned with what [`Vault::infer_batch`]
-    /// will accept) or when `vault` is itself a partition replica (an
-    /// engine always starts from the full deployment),
+    /// will accept) or when `vault` is one partition of several (an
+    /// engine always starts from the full deployment, partition 0 of
+    /// 1),
     /// [`ServeError::Vault`] when a replica or partition cannot be
     /// spawned, and [`ServeError::StartFailed`] when a worker thread
     /// cannot be spawned. Start failures leave nothing running: any
@@ -1048,7 +1049,8 @@ impl ServingEngine {
                 ),
             });
         }
-        if let Some((part, parts)) = vault.partition_info() {
+        let (part, parts) = vault.partition_info();
+        if parts > 1 {
             return Err(ServeError::Rejected {
                 reason: format!(
                     "vault is partition replica {part}/{parts}; start the engine from the full vault"
@@ -1264,8 +1266,8 @@ impl ServingEngine {
     /// # Errors
     ///
     /// [`ServeError::Rejected`] when the snapshot's node count differs
-    /// from the served corpus or the snapshot is itself a partition
-    /// snapshot, [`ServeError::Vault`] when a shard (or, partitioned,
+    /// from the served corpus or the snapshot holds one partition of
+    /// several, [`ServeError::Vault`] when a shard (or, partitioned,
     /// the engine-side restore) fails to restore it (wrong key, corrupt
     /// payload — the old model keeps serving everywhere after
     /// rollback), [`ServeError::ShardFailed`] when a shard's ack
@@ -1281,7 +1283,8 @@ impl ServingEngine {
                 ),
             });
         }
-        if let Some(p) = snapshot.partition() {
+        let p = snapshot.partition();
+        if p.parts() > 1 {
             return Err(ServeError::Rejected {
                 reason: format!(
                     "snapshot holds partition {}/{}; deploy takes a full-vault snapshot",

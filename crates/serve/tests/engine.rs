@@ -273,6 +273,42 @@ fn start_rejects_a_mismatched_corpus_with_a_typed_error() {
 }
 
 #[test]
+fn an_engine_starts_and_deploys_only_whole_vaults() {
+    // Every vault is partition `part` of `parts`; an engine serves the
+    // whole graph, so it starts from and deploys only partition 0 of 1.
+    let (vault, x, _) = toy_vault(8, RectifierKind::Series);
+    let spec = graph::partition::PartitionSpec::block(8, 2).unwrap();
+    let halves = vault.partition_snapshots(&spec).unwrap();
+    let replica = gnnvault::Vault::restore(&halves[0], SealKey(7)).unwrap();
+    assert!(matches!(
+        ServingEngine::start(replica, x.clone(), ServeConfig::default()),
+        Err(ServeError::Rejected { .. })
+    ));
+
+    // A restored full vault is partition 0 of 1 and starts normally.
+    let mut whole = gnnvault::Vault::restore(&vault.snapshot(), SealKey(7)).unwrap();
+    assert_eq!(whole.partition_info(), (0, 1));
+    let expected = sequential_labels(&mut whole, &x);
+    let engine = ServingEngine::start(whole, x, ServeConfig::default()).unwrap();
+    let handle = engine.handle();
+    assert_eq!(
+        handle.submit_one(5).unwrap().wait().unwrap(),
+        vec![expected[5]]
+    );
+
+    assert!(matches!(
+        engine.deploy(&halves[1], SealKey(7)),
+        Err(ServeError::Rejected { .. })
+    ));
+    let epoch = engine.deploy(&vault.snapshot(), SealKey(7)).unwrap();
+    assert_eq!(epoch, vault.epoch());
+    assert_eq!(
+        handle.submit_one(2).unwrap().wait().unwrap(),
+        vec![expected[2]]
+    );
+}
+
+#[test]
 fn load_shedding_turns_overload_into_typed_retry_hints() {
     let (vault, x, _) = toy_vault(8, RectifierKind::Series);
     let engine = ServingEngine::start(

@@ -8,13 +8,15 @@
 //!
 //! The drill block-partitions a 256-node ring-structured private graph
 //! four ways, prints the per-partition sealed snapshot sizes against
-//! the full-replica size, restores one partition replica to show it
-//! answers its owned nodes (and only those), then runs the whole
-//! corpus through a 4-shard partitioned engine. Any violation panics,
+//! the full-replica size, checks that a 1-way partitioning seals the
+//! full snapshot's exact bytes (a full vault is partition 0 of 1),
+//! restores one partition replica to show it answers its owned nodes
+//! (and only those), then runs the whole corpus through a 4-shard
+//! partitioned engine. Any violation panics,
 //! so CI can run this binary as a pass/fail gate.
 
 use gnnvault_suite::gnnvault::{
-    Backbone, Rectifier, RectifierKind, SubstituteKind, Vault, VaultError,
+    Backbone, Precision, Rectifier, RectifierKind, SubstituteKind, Vault, VaultError,
 };
 use gnnvault_suite::graph::partition::PartitionSpec;
 use gnnvault_suite::graph::{normalization, Graph};
@@ -125,10 +127,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Gate 2: a restored partition replica answers exactly its owned
+    // Gate 2: one vault shape. A full vault is partition 0 of 1, so a
+    // 1-way partitioning seals exactly the full snapshot's bytes, at
+    // either precision.
+    let one_way = PartitionSpec::block(N, 1)?;
+    for precision in Precision::ALL {
+        vault.set_precision(precision)?;
+        assert_eq!(
+            vault.partition_snapshots(&one_way)?,
+            [vault.snapshot()],
+            "{precision:?}: the 1-way partition must seal the full snapshot byte for byte"
+        );
+    }
+    vault.set_precision(Precision::F32)?;
+    println!("one vault shape: 1-way partition == full snapshot at f32 and int8");
+
+    // Gate 3: a restored partition replica answers exactly its owned
     // nodes, bit-identically — and refuses everyone else's, typed.
     let mut partial = Vault::restore(&snapshots[1], SEAL_KEY)?;
-    assert_eq!(partial.partition_info(), Some((1, PARTS)));
+    assert_eq!(partial.partition_info(), (1, PARTS));
     let owned: Vec<usize> = (0..N).filter(|&node| spec.owner_of(node) == 1).collect();
     let alien = (0..N).find(|&node| spec.owner_of(node) != 1).unwrap();
     let mut session = partial.open_session();
@@ -146,7 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         owned.len()
     );
 
-    // Gate 3: the 4-shard partitioned engine answers the whole corpus
+    // Gate 4: the 4-shard partitioned engine answers the whole corpus
     // bit-identically to sequential `Vault::infer`.
     let engine = ServingEngine::start(
         vault,
@@ -179,7 +196,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(stats.answered_nodes, N as u64);
     assert_eq!(stats.shards.len(), PARTS);
     assert!(
-        survivor.is_some_and(|mut v| v.partition_info().is_none() && v.infer(&x).is_ok()),
+        survivor.is_some_and(|mut v| v.partition_info() == (0, 1) && v.infer(&x).is_ok()),
         "the shutdown survivor must be the parked full vault"
     );
     println!(
